@@ -10,10 +10,14 @@ object: ``correct``, ``attempted``, ``failed`` and ``metrics`` (the
 end-to-end metrics with ``--trace 0``, the per-layer ones with
 ``--trace 1``).
 
-Watchdog: an op that passes ``--op-timeout`` gets its Python stacks
-dumped into ``.perfbench/stacks-*.txt``; then the session and every
-process it started are killed, the op counts as failed, and a fresh
-session continues the measured loop for the time that is left.
+Watchdog: every step of a session -- Ray start-up, input generation,
+warm-up, each set-up, each op, the checks and the per-layer
+measurements -- has the ``--op-timeout`` limit.  A step that passes it
+gets its Python stacks dumped into ``.perfbench/stacks-*.txt``; then the
+session and every process it started are killed, the step counts as a
+failed op, and a fresh session continues the measured loop for the time
+that is left.  A run in which anything was attempted prints its
+result, with None for a metric that was never measured.
 """
 
 from __future__ import annotations
@@ -31,12 +35,26 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 RUN_LIMIT_S = 170.0  # the whole run, set-up and checks included
 MAX_SESSIONS = 3
-COVERAGE_TOLERANCE = 0.05  # traced backfill: layer spans cover >= 95% of a pass
+# traced backfill: the reported layer figures must account for at least
+# this share of each pass's wall time (the rest is Ray's scheduling of
+# tasks and operators), and for no more than the pass's wall time times
+# the CPUs, plus 5%
+COVERAGE_MIN = 0.65
 N_REGISTRY_LINES = 12
 
 
 def _median(xs):
     return statistics.median(xs) if xs else None
+
+
+def setup_seconds(setups: "list[dict]") -> "float | None":
+    """Median set-up time.  A set-up made of named parts (the registry's
+    lines) gives the sum of each part's median over the repetitions."""
+    if not setups:
+        return None
+    if "parts" not in setups[0]:
+        return _median([e["s"] for e in setups])
+    return sum(_median([e["parts"][k] for e in setups]) for k in setups[0]["parts"])
 
 
 def _session_pids(sid: int) -> "list[int]":
@@ -81,8 +99,8 @@ class Run:
         self.timeouts = 0
         self.crashes = 0
 
-    def session(self, seconds: float) -> bool:
-        """One session process; False when it ended without set-up done."""
+    def session(self, seconds: float) -> None:
+        """One session process, watched until it ends."""
         a = self.args
         r, w = os.pipe()
         cmd = [
@@ -97,7 +115,7 @@ class Run:
             cmd, pass_fds=(w,), start_new_session=True, stdout=sys.stderr
         )
         os.close(w)
-        buf, started, current = b"", False, None
+        buf, current = b"", None
         try:
             while True:
                 now = time.monotonic()
@@ -123,9 +141,7 @@ class Run:
                     if ev["event"] == "start":
                         current = (ev["kind"], time.monotonic() + ev["timeout"])
                         continue
-                    if ev["event"] in ("done", "check"):
-                        current = None
-                    started |= ev["event"] == "setup"
+                    current = None
                     self.events.append(ev)
         finally:
             os.close(r)
@@ -133,7 +149,6 @@ class Run:
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
             _stop_session(proc.pid)
-        return started
 
     def _stall(self, proc, current) -> None:
         """Dump the session's stacks, then count the op as failed."""
@@ -146,22 +161,24 @@ class Run:
         self.events.append({"event": "done", "kind": kind, "ok": False,
                             "phase": "plain", "error": "timeout"})
 
-    def execute(self) -> bool:
-        started = self.session(self.args.seconds)
+    def execute(self) -> None:
+        self.session(self.args.seconds)
         n = 1
-        while started and (self.timeouts or self.crashes) and n < MAX_SESSIONS:
+        while (self.timeouts or self.crashes) and n < MAX_SESSIONS:
             left = RUN_LIMIT_S - (time.monotonic() - self.t0)
             if left < 60:
                 break
             # continue the measured loop for the time that is left in a
             # fresh Ray session
-            spent = sum(e.get("s", 0) for e in self.events if e["event"] == "done")
+            spent = sum(
+                e.get("s", 0) for e in self.events
+                if e["event"] == "done" and e.get("phase") == "plain"
+            )
             n += 1
             before = (self.timeouts, self.crashes)
             self.session(max(1.0, self.args.seconds - spent))
             if (self.timeouts, self.crashes) == before:
                 break
-        return started
 
 
 def end_to_end(workload: str, events: "list[dict]", phase: str) -> dict:
@@ -224,16 +241,17 @@ def main() -> int:
         spec = json.load(f)
     run = Run(args)
     os.makedirs(run.root, exist_ok=True)
-    started = run.execute()
+    run.execute()
     if os.path.exists(run.stacks) and not os.path.getsize(run.stacks):
         os.remove(run.stacks)
-    if not started:
-        print("the session ended before its set-up finished", file=sys.stderr)
+    ev = run.events
+    done = [e for e in ev if e["event"] == "done"]
+    if not done:
+        print("the session ended before it attempted anything", file=sys.stderr)
         return 3
 
-    ev = run.events
-    setup = next(e for e in ev if e["event"] == "setup")
-    done = [e for e in ev if e["event"] == "done"]
+    setups = [e for e in done if e["kind"] == "setup" and e["phase"] == "setup" and e["ok"]]
+    ready = next((e for e in ev if e["event"] == "ready"), {})
     checks = [e for e in ev if e["event"] == "check"]
     attempted = len(done)
     failed = sum(not e["ok"] for e in done) + sum(e["failed"] for e in checks)
@@ -241,21 +259,21 @@ def main() -> int:
     values = {
         "throughput_per_s": plain["throughput_per_s"],
         "peak_rss_mb": max((e["mb"] for e in ev if e["event"] == "rss"), default=None),
-        "setup_s": statistics.median(setup["prep_s"]),
+        "setup_s": setup_seconds(setups),
     }
     report = {
         "workload": args.workload,
         "seed": args.seed,
         **plain["report"],
         "failed_frac": failed / max(attempted, 1),
-        "ray_init_s": setup["init_s"],
-        "setup_prep_s": setup["prep_s"],
+        "ray_init_s": ready.get("init_s"),
+        "setups_s": [e["s"] for e in setups],
         "timeouts": run.timeouts,
         # seconds since the run started at which each phase ended
         "phase_end_s": {
             e["event"]: round(e["t"] - run.t0, 2)
             for e in ev
-            if e["event"] in ("setup", "rss", "check")
+            if e["event"] in ("ready", "rss", "check")
         } | {"total": round(time.monotonic() - run.t0, 2)},
         "why": [w for e in checks for w in e["why"]] + [e["error"] for e in done if "error" in e],
     }
@@ -271,10 +289,15 @@ def main() -> int:
             for k in ("throughput_per_s", "op_p50_ms")
             if traced[k] and plain[k]
         }
-        report["backfill_span_coverage"] = layers["coverage"]
-        covered = all(c >= 1.0 - COVERAGE_TOLERANCE for c in layers["coverage"])
+        report["backfill_layer_coverage"] = layers["coverage"]
+        top = 1.05 * ready.get("cpus", 1)
+        covered = all(c is not None and COVERAGE_MIN <= c <= top for c in layers["coverage"])
         correct = correct and covered and bool(layers["coverage"])
         values = layers["layers"]
+        # figures that give the listed ones their scale (wall time of a
+        # traced pass or call), reported but not metrics
+        names = {m["name"] for m in listed}
+        report["layer_context"] = {k: v for k, v in values.items() if k not in names}
         with open(os.path.join(run.root, f"trace-{run.tag}.json"), "w") as f:
             json.dump({"report": report, **layers}, f)
 

@@ -3,10 +3,13 @@
 Reports to the parent as JSON lines on the file descriptor given by
 ``--events-fd``:
 
-- ``setup``: Ray start-up seconds and the seconds of each set-up
-  repetition (input generation plus warm-up);
-- ``start`` / ``done``: one pair per op, so the parent can enforce the
-  per-op time limit;
+- ``start``: before every step the parent watches against the per-op
+  time limit: Ray start-up, input generation, warm-up, each set-up
+  repetition, each op of the loops, the checks and the per-layer
+  measurements; any other event ends the step;
+- ``ready``: Ray is up, with its start-up seconds;
+- ``done``: one per op, set-up ops included (``phase`` "setup"), with
+  the op's own timing and whether it succeeded;
 - ``check``: ops whose outputs failed the off-clock correctness checks;
 - ``rss``: the driver's peak anonymous resident memory over the
   measured loop;
@@ -33,8 +36,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 sys.path.insert(0, os.getcwd())
 
-SETUP_REPEATS = 3
-
 
 class Session:
     def __init__(self, args):
@@ -54,20 +55,34 @@ class Session:
         event["t"] = time.monotonic()
         os.write(self.fd, (json.dumps(event) + "\n").encode())
 
+    def op(self, kind: str, phase: str, fn) -> bool:
+        """Run ``fn`` as one watched op; its record (or its exception)
+        becomes a ``done`` event.  False when it raised or was wrong."""
+        self.emit(event="start", kind=kind, timeout=self.op_timeout)
+        try:
+            rec = fn() or {}
+        except Exception as e:  # an op failure is counted, not fatal
+            traceback.print_exc()
+            self.emit(event="done", kind=kind, phase=phase, ok=False, error=repr(e)[:300])
+            return False
+        ok = bool(rec.pop("ok", True))
+        self.emit(event="done", kind=kind, phase=phase, ok=ok, **rec)
+        return ok
+
+    def set_up(self, wl, repeats: int, phase: str = "setup") -> bool:
+        """Inputs, warm-up and ``repeats`` timed set-ups, each a watched
+        op; False as soon as one of them fails."""
+        steps = [("prepare", wl.prepare), ("warm", wl.warm)]
+        steps += [("setup", wl.setup)] * repeats
+        return all(self.op(kind, phase, fn) for kind, fn in steps)
+
     def loop(self, wl, seconds: float, phase: str) -> None:
         """Closed loop: whole rounds, at least ``wl.min_rounds``, until
         ``seconds`` have passed."""
         t_end = time.perf_counter() + seconds
         for n in itertools.count(1):
             for kind, fn in wl.round():
-                self.emit(event="start", kind=kind, timeout=self.op_timeout)
-                try:
-                    rec = fn()
-                except Exception as e:  # an op failure is counted, not fatal
-                    traceback.print_exc()
-                    self.emit(event="done", kind=kind, phase=phase, ok=False, error=repr(e)[:300])
-                    continue
-                self.emit(event="done", kind=kind, phase=phase, ok=rec.pop("ok", True), **rec)
+                self.op(kind, phase, fn)
                 self.sample_memory()
             if n >= wl.min_rounds and time.perf_counter() >= t_end:
                 return
@@ -136,17 +151,13 @@ def main() -> int:
     from workloads import WORKLOADS
 
     s = Session(args)
-    init_s = init_ray(args.root)
+    s.emit(event="start", kind="ray_init", timeout=s.op_timeout)
+    s.emit(event="ready", init_s=init_ray(args.root), cpus=cpus())
     try:
         tracer = spans.Tracer(False)
         wl = WORKLOADS[args.workload](args.root, args.seed, args.scale, tracer)
-        prep = []
-        for _ in range(SETUP_REPEATS):
-            t0 = time.perf_counter()
-            wl.setup()
-            prep.append(time.perf_counter() - t0)
-        s.emit(event="setup", init_s=init_s, prep_s=prep)
-
+        if not s.set_up(wl, wl.setup_repeats):
+            return 0
         s.loop(wl, args.seconds, "plain")
         s.emit(event="rss", mb=s.peak_anon_mb)
         s.check(wl)
@@ -154,20 +165,24 @@ def main() -> int:
             tracer.enabled = True
             s.loop(wl, args.seconds, "traced")
             s.check(wl)
-            layers = wl.layers()
-            coverage = wl.coverage()
-            others = []
+            layers, coverage, others = {}, [], []
+
+            def measure(w):
+                # per-layer figures, themselves a watched op
+                layers.update(w.layers())
+                coverage.extend(w.coverage())
+
+            s.op("layers", "traced", lambda: measure(wl))
             for name, cls in WORKLOADS.items():
                 if name == args.workload:
                     continue
                 other = cls(args.root, args.seed, args.scale, spans.Tracer(False))
-                other.setup()
-                other.tr.enabled = True
-                s.loop(other, 0.0, f"layers:{name}")
-                s.check(other)
-                layers.update(other.layers())
-                coverage += other.coverage()
                 others.append(other)
+                if s.set_up(other, 1, f"layers:{name}"):
+                    other.tr.enabled = True
+                    s.loop(other, 0.0, f"layers:{name}")
+                    s.check(other)
+                    s.op("layers", f"layers:{name}", lambda: measure(other))
                 other.close()
             s.emit(
                 event="layers",

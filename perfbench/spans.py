@@ -87,26 +87,37 @@ def spilled_bytes(ds) -> int:
     return int(ds._get_stats_summary().global_bytes_spilled or 0)
 
 
-def exchange(ops: "list[dict]") -> dict:
+EXCHANGE_FIGURES = (
+    "exchange_wall_s",
+    "exchange_task_s",
+    "exchange_wait_s",
+    "exchange_bytes",
+    "exchange_in_blocks",
+    "skew_max_over_median",
+)
+
+
+def exchange(ops: "list[dict]") -> "dict | None":
     """Layer figures for the keyed exchange (Ray's sort-based shuffle:
-    the ``SortMap`` / ``SortReduce`` sub-operators)."""
+    the ``SortMap`` / ``SortReduce`` sub-operators); None when the plan
+    has no such operators or they report no times."""
     smap = [o for o in ops if o["name"] == "SortMap"]
     sred = [o for o in ops if o["name"] == "SortReduce"]
     parts = smap + sred
     starts = [o["start"] for o in parts if o["start"] is not None]
     ends = [o["end"] for o in parts if o["end"] is not None]
-    wall = max(ends) - min(starts) if starts and ends else 0.0
-    task = sum(o["task_s"] for o in parts)
     rows = [r for o in sred for r in o["rows"]]
+    if not (smap and sred and starts and ends and rows):
+        return None
+    wall = max(ends) - min(starts)
+    task = sum(o["task_s"] for o in parts)
     return {
         "exchange_wall_s": wall,
         "exchange_task_s": task,
         "exchange_wait_s": wall - task,
         "exchange_bytes": sum(o["bytes"] for o in smap),
         "exchange_in_blocks": sum(o["blocks"] for o in smap),
-        "skew_max_over_median": (
-            float(max(rows) / max(np.median(rows), 1.0)) if rows else 0.0
-        ),
+        "skew_max_over_median": float(max(rows) / max(np.median(rows), 1.0)),
     }
 
 

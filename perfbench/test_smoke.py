@@ -3,8 +3,9 @@
     python3 -m pytest perfbench/test_smoke.py -q
 
 Runs every workload untraced, one traced run (which touches every
-layer), the watchdog path and the refusal to run outside a checkout,
-and checks the printed result against BENCHMARK.json.
+layer), the watchdog path on a stalled set-up and the refusal to run
+outside a checkout, and checks the printed result against
+BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ def test_traced_run_prints_every_layer_metric():
     assert os.path.exists(os.path.join(REPO, ".perfbench", "trace-backfill-4-t1.json"))
 
 
-def test_watchdog_counts_a_stalled_op_and_keeps_its_stack():
+def test_watchdog_counts_a_stalled_set_up_and_still_prints_a_result():
+    # a limit this short stalls the very first step (Ray's start-up) of
+    # every session: the run must still end with a result
     stacks = os.path.join(REPO, ".perfbench", "stacks-backfill-5-t0.txt")
     if os.path.exists(stacks):
         os.remove(stacks)
@@ -78,9 +81,10 @@ def test_watchdog_counts_a_stalled_op_and_keeps_its_stack():
     assert code == 0
     res = result(lines)
     assert not res["correct"] and res["failed"] >= 1
+    assert {m["name"] for m in SPEC["end_to_end"]} == set(res["metrics"])
     assert json.loads(lines[-2])["report"]["timeouts"] >= 1
     with open(stacks) as f:
-        assert "Thread" in f.read()
+        assert "in init_ray" in f.read()  # the stalled step's stack
 
 
 def test_refuses_to_run_without_the_package(tmp_path):

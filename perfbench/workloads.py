@@ -3,9 +3,13 @@
 Each workload owns its seeded inputs under its own work directory and
 offers:
 
-- ``prepare()``: generate and write the inputs (part of set-up);
-- ``warm()``: one op on those inputs, so Ray's workers are started and
-  the package is imported before the clock starts (part of set-up);
+- ``prepare()``: generate and write the inputs (the benchmark's own
+  work, kept off the set-up clock);
+- ``warm()``: ops on those inputs, untimed, so Ray's workers are started
+  and the package is imported before anything is timed;
+- ``setup()``: the package's own set-up for the workload, timed by
+  itself and returned as ``{"s": seconds, "ok": ...}``; it is repeated
+  and ``setup_s`` is the median;
 - ``round()``: the ops of one closed-loop round, as ``(kind, fn)``
   pairs; ``fn()`` times its own critical section and returns
   ``{"s": seconds, "items": n}``, with any off-clock output check
@@ -13,7 +17,8 @@ offers:
 - ``final_check()``: off-clock checks over outputs kept from the loop;
   returns how many ops produced a wrong result, and why;
 - ``layers()``: per-layer figures from the spans and Ray operator stats
-  recorded during traced rounds.
+  recorded during traced rounds (None where a figure could not be
+  taken).
 
 Sizes are for a one-core machine; ``scale`` shrinks them for the smoke
 test.
@@ -59,8 +64,11 @@ from multimedia_indexing_ray.state.incremental import (
 KEYS = ["conv_id", "ts", "turn_idx"]
 
 
-def _median(xs) -> float:
-    return float(np.median(xs)) if len(xs) else float("nan")
+def _median(xs) -> "float | None":
+    """Median, or None when there is no value or one is missing."""
+    if not len(xs) or any(x is None for x in xs):
+        return None
+    return float(np.median(xs))
 
 
 def _timed(fn):
@@ -94,6 +102,10 @@ def _count_rows(*tables: pa.Table) -> int:
     return sum(t.num_rows for t in tables)
 
 
+def _first_file(src_dir: str) -> str:
+    return os.path.join(src_dir, sorted(os.listdir(src_dir))[0])
+
+
 def _feature_pipeline_kw(threshold: int) -> dict:
     return dict(split_hot=True, hot_threshold=threshold, target_chunk_rows=threshold // 2)
 
@@ -101,28 +113,27 @@ def _feature_pipeline_kw(threshold: int) -> dict:
 class Workload:
     name = ""
     min_rounds = 1  # rounds the measured loop runs even past its time
+    setup_repeats = 3  # timed set-ups per session; setup_s is their median
 
     def __init__(self, root: str, seed: int, scale: float, tracer: "spans.Tracer"):
         self.root = os.path.join(root, self.name)
+        self.dir = os.path.join(self.root, "work")
         self.seed = seed
         self.scale = scale
         self.tr = tracer
-        self.n_setups = 0
 
-    def setup(self) -> None:
-        """Fresh inputs in a fresh directory, then one warm-up op."""
+    def prepare(self) -> None:
+        """Fresh inputs in a fresh directory."""
         shutil.rmtree(self.root, ignore_errors=True)
-        self.n_setups += 1
-        self.dir = os.path.join(self.root, f"set{self.n_setups}")
-        self.prepare()
-        self.warm()
+        os.makedirs(self.dir)
+        self.generate()
 
     def _n(self, x: float, lo: int = 1) -> int:
         return max(lo, int(round(x * self.scale)))
 
-    def coverage(self) -> "list[float]":
-        """Shares of traced ops' wall time covered by layer spans (only
-        backfill is checked)."""
+    def coverage(self) -> "list[float | None]":
+        """Shares of traced ops' wall time covered by the per-layer
+        figures (only backfill is checked)."""
         return []
 
     def close(self) -> None:
@@ -134,7 +145,7 @@ class Backfill(Workload):
 
     name = "backfill"
 
-    def prepare(self) -> None:
+    def generate(self) -> None:
         self.hot_turns = self._n(5000, 40)
         self.table = gen.transcripts(
             self.seed, self._n(1500, 20), self._n(43000, 400), 3, self.hot_turns
@@ -145,7 +156,15 @@ class Backfill(Workload):
         self.kw = _feature_pipeline_kw(int(self.hot_turns * 0.8))
 
     def warm(self) -> None:
-        self._pass()
+        # one input file is enough to start Ray's workers and import the
+        # package in them
+        ds = compute_features(read_transcripts(_first_file(self.src)), **self.kw)
+        ds.write_parquet(os.path.join(self.dir, "warm"))
+
+    def setup(self) -> dict:
+        """One pass over the inputs into a fresh output directory: the
+        time to the first full result."""
+        return self._pass()
 
     def _pass(self) -> dict:
         shutil.rmtree(self.out, ignore_errors=True)
@@ -196,24 +215,36 @@ class Backfill(Workload):
         bad = _cols_equal(got, want, want.column_names)
         return (1, [f"sample mismatch in {bad}"]) if bad else (0, [])
 
+    def _pass_figures(self, p: dict) -> dict:
+        """One traced pass's layer figures; None where the operator a
+        figure is taken from is not in the executed plan."""
+        ops = p["operators"]
+        src = spans.fused_op(ops, "ReadParquet")
+        sink = spans.fused_op(ops, "Write")
+        ex = spans.exchange(ops)
+        kids = {k["name"]: k["end"] - k["start"] for k in self.tr.children(p["id"])}
+        return {
+            "stages.hotkeys.plan_s": kids["stages.hotkeys.plan"],
+            # the driver-side call plus the read operator's own task time
+            "sources.read_s": src and kids["sources.read_transcripts"] + src["task_s"]
+            - src["udf_s"],
+            "stages.features.prefeaturize_task_s": src and src["udf_s"],
+            "sink.write_s": sink and sink["task_s"] - sink["udf_s"],
+            # the fused kernel + write operator's whole task time
+            "sink.task_s": sink and sink["task_s"],
+            **{f"stages.partition.{k}": ex and ex[k] for k in spans.EXCHANGE_FIGURES},
+        }
+
+    def _traced_passes(self) -> "list[dict]":
+        return [s for s in self.tr.spans if s["name"] == "backfill.pass" and "operators" in s]
+
     def layers(self) -> dict:
-        passes = [s for s in self.tr.spans if s["name"] == "backfill.pass" and "operators" in s]
-        per = []
-        for p in passes:
-            ops = p["operators"]
-            src = spans.fused_op(ops, "ReadParquet")
-            sink = spans.fused_op(ops, "Write")
-            kids = {k["name"]: k["end"] - k["start"] for k in self.tr.children(p["id"])}
-            per.append(
-                {
-                    "stages.hotkeys.plan_s": kids["stages.hotkeys.plan"],
-                    "sources.read_s": src["task_s"] - src["udf_s"],
-                    "stages.features.prefeaturize_task_s": src["udf_s"],
-                    "sink.write_s": sink["task_s"] - sink["udf_s"],
-                    **{f"stages.partition.{k}": v for k, v in spans.exchange(ops).items()},
-                }
-            )
+        per = [self._pass_figures(p) for p in self._traced_passes()]
         out = {f"backfill.{k}": _median([d[k] for d in per]) for k in per[0]}
+        del out["backfill.sink.task_s"]
+        out["backfill.pass_s"] = _median(
+            [p["end"] - p["start"] for p in self._traced_passes()]
+        )
 
         # the window kernel alone, in-process, on the same partition
         # tables the exchange builds: prefeaturize, chunk by the split
@@ -237,14 +268,22 @@ class Backfill(Workload):
         out["backfill.stages.features.kernel_s"] = _median(times)
         return out
 
-    def coverage(self) -> "list[float]":
-        """Share of each traced pass's wall time covered by its layer spans."""
-        return [
-            sum(k["end"] - k["start"] for k in self.tr.children(p["id"]))
-            / (p["end"] - p["start"])
-            for p in self.tr.spans
-            if p["name"] == "backfill.pass"
-        ]
+    def coverage(self) -> "list[float | None]":
+        """Share of each traced pass's wall time that the reported layer
+        figures account for: the read call and read task time, the split
+        plan, prefeaturize, the exchange's wall time and the fused
+        kernel + write operator's task time.  What is left is Ray's own
+        scheduling of tasks and operators."""
+        shares = []
+        for p in self._traced_passes():
+            f = self._pass_figures(p)
+            parts = [f["stages.hotkeys.plan_s"], f["sources.read_s"],
+                     f["stages.features.prefeaturize_task_s"],
+                     f["stages.partition.exchange_wall_s"], f["sink.task_s"]]
+            shares.append(
+                None if None in parts else sum(parts) / (p["end"] - p["start"])
+            )
+        return shares
 
 
 class PitServe(Workload):
@@ -252,7 +291,7 @@ class PitServe(Workload):
 
     name = "pit_serve"
 
-    def prepare(self) -> None:
+    def generate(self) -> None:
         hot = self._n(5000, 40)
         self.table = gen.transcripts(self.seed, self._n(1000, 20), self._n(29000, 400), 3, hot)
         self.src = os.path.join(self.dir, "in")
@@ -263,8 +302,14 @@ class PitServe(Workload):
         self.results: "list[pa.Table]" = []
 
     def warm(self) -> None:
-        self._serve()
-        self.results = []
+        # one input file and one probe block start Ray's workers and
+        # import the package in them
+        probes = ray.data.from_arrow(self.probes[:1])
+        features_at(_first_file(self.src), probes, **self.kw).materialize()
+
+    def setup(self) -> dict:
+        """One serving call on the inputs: the time to the first answer."""
+        return self._serve()
 
     def _serve(self) -> dict:
         probes = ray.data.from_arrow(self.probes)
@@ -341,11 +386,13 @@ class PitServe(Workload):
             ops = c["operators"]
             kids = {k["name"]: k["end"] - k["start"] for k in self.tr.children(c["id"])}
             serve = spans.fused_op(ops, "_serve")
+            ex = spans.exchange(ops)
             per.append(
                 {
                     "stages.hotkeys.plan_s": kids["stages.hotkeys.plan"],
-                    "pipelines.features.serve_task_s": serve["task_s"],
-                    **{f"stages.partition.{k}": v for k, v in spans.exchange(ops).items()},
+                    "pipelines.features.serve_task_s": serve and serve["task_s"],
+                    **{f"stages.partition.{k}": ex and ex[k] for k in spans.EXCHANGE_FIGURES},
+                    "call_s": c["end"] - c["start"],
                 }
             )
         return {f"pit_serve.{k}": _median([d[k] for d in per]) for k in per[0]}
@@ -358,7 +405,7 @@ class Online(Workload):
     name = "online"
     N_SHARDS = 2
     BATCH_ROWS = 2000
-    LOOKUPS_PER_ROUND = 250
+    LOOKUPS_PER_ROUND = 150
     CONVS_PER_LOOKUP = 16
 
     def __init__(self, *args):
@@ -369,7 +416,7 @@ class Online(Workload):
         self.lookups: "list[tuple[list, np.ndarray]]" = []
         self.actors = None
 
-    def prepare(self) -> None:
+    def generate(self) -> None:
         t = gen.transcripts(self.seed, self._n(750, 40), self._n(22000, 400), 0, 0)
         self.table = t.sort_by(
             [("ts", "ascending"), ("conv_id", "ascending"), ("turn_idx", "ascending")]
@@ -389,19 +436,28 @@ class Online(Workload):
         self.convs = np.array(pc.unique(self.table["conv_id"]).to_pylist(), dtype=object)
         self.rng = np.random.default_rng(self.seed + 9)
 
-    def _start_actors(self) -> None:
-        if self.actors is None:
-            self.actors, self.route = sharded_incremental(
-                DEFAULT_SPECS, num_shards=self.N_SHARDS, equal_ts="batch"
-            )
+    def _kill_actors(self) -> None:
+        for a in self.actors or []:
+            ray.kill(a)
+        self.actors = None
+
+    def setup(self) -> dict:
+        """Fresh shard actors, ready to answer, holding one ingested
+        round: the time until the store can serve lookups."""
+        self._kill_actors()
+        t0 = time.perf_counter()
+        self.actors, self.route = sharded_incremental(
+            DEFAULT_SPECS, num_shards=self.N_SHARDS, equal_ts="batch"
+        )
         ray.get([a.current.remote([]) for a in self.actors])
+        start_s = time.perf_counter() - t0
+        rec = self._ingest()
+        return {"s": start_s + rec["s"], "ok": rec["ok"]}
 
     def warm(self) -> None:
-        self._start_actors()
-        self._ingest()
-        for _ in range(20):
-            self._lookup()
-        self.lookups = []
+        # every set-up starts new actor processes, so there is nothing
+        # to warm that the set-ups themselves would not
+        pass
 
     def _batches(self, prefix: str) -> "list[pa.Table]":
         conv = pc.binary_join_element_wise(prefix, self.table["conv_id"], "")
@@ -485,9 +541,7 @@ class Online(Workload):
         }
 
     def close(self) -> None:
-        for a in self.actors or []:
-            ray.kill(a)
-        self.actors = None
+        self._kill_actors()
         super().close()
 
 
@@ -518,7 +572,7 @@ class Registry(Workload):
     # even when the machine is slow
     min_rounds = 2 * len(FIXED_LINES + TEXT_LINES + SMALL_TEXT_LINES)
 
-    def prepare(self) -> None:
+    def generate(self) -> None:
         self.small = os.path.join(self.dir, "small")
         self.docs = os.path.join(self.dir, "docs")
         tables = gen.star_tables(self.seed, self._n(15000, 200), self._n(10000, 200))
@@ -535,11 +589,20 @@ class Registry(Workload):
         return self.docs if name in TEXT_LINES else self.small
 
     def warm(self) -> None:
-        # the first set-up runs every line once, so the measured loop
-        # starts warm; later set-ups run one line
-        for name in self.lines if self.n_setups == 1 else ["pricing_summary"]:
+        # the text-kernel lines once, so the measured loop starts warm;
+        # the set-ups run the fixed-cost lines, and the median over the
+        # repetitions leaves out each line's first, cold run
+        for name in TEXT_LINES + SMALL_TEXT_LINES:
             self._query(name)()
-        self.results = {n: [] for n in self.lines}
+
+    def setup(self) -> dict:
+        """The fixed-cost lines once each, in a fixed order: what a
+        caller pays before the first answers of a query mix, where Ray's
+        fixed per-query cost is most of the time.  Each line's time is
+        kept, so ``setup_s`` can sum the lines' medians over the
+        repetitions, as ``mix_total_s`` does."""
+        parts = {name: self._query(name)()["s"] for name in FIXED_LINES}
+        return {"s": sum(parts.values()), "parts": parts}
 
     def _query(self, name: str):
         def run() -> dict:
