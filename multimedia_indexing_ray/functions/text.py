@@ -16,6 +16,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from multimedia_indexing_ray.functions import grams
+
 TOKEN_RE = r"\S+"
 # BPE-ish pre-tokenizer (GPT-2 style, minus the RE2-unsupported
 # lookahead and the whitespace-run branch): contraction suffixes,
@@ -131,31 +133,25 @@ FNV_BASIS2 = 40389339  # second pass basis for the 64-bit composition
 FNV_PRIME = 16777619
 
 
-def fnv1a32_str(strings: np.ndarray, basis: int = FNV_BASIS) -> np.ndarray:
+def fnv1a32_str(strings, basis: int = FNV_BASIS) -> np.ndarray:
     """Vectorized FNV-1a-32 over each string's code points.
 
     Empty-string convention matches the DuckDB fold exactly: DuckDB's
     split('', '') yields [''] with ascii('') = 0, i.e. ONE fold step with
     code point 0 — so an empty string hashes to (basis ^ 0) * prime,
     NOT the bare basis (verified against the SQL).  Iterates over
-    CHARACTER POSITIONS (max width), each step a whole-array numpy op —
-    no per-row Python."""
-    a = np.asarray(strings, dtype="U")
-    n = len(a)
-    if n == 0:
-        return np.empty(0, np.uint64)
-    width = max(a.dtype.itemsize // 4, 1)
-    cp = a.view(np.uint32).reshape(n, width).astype(np.uint64)
-    lens = (cp != 0).sum(axis=1)  # no NUL inside tokens
-    h = np.full(n, basis, dtype=np.uint64)
+    CHARACTER POSITIONS of the batch's one codepoint array (`grams`),
+    each step a numpy op over the strings still that long — no per-row
+    Python; U+0000 is an ordinary code point."""
+    cp, starts = grams.decode(strings)
+    lens = np.diff(starts)
+    h = np.full(len(lens), basis, dtype=np.uint64)
     prime = np.uint64(FNV_PRIME)
     mask32 = np.uint64(0xFFFFFFFF)
-    for p in range(int(lens.max()) if n else 0):
-        nh = ((h ^ cp[:, p]) * prime) & mask32
-        h = np.where(lens > p, nh, h)
-    empty = lens == 0
-    if empty.any():
-        h = np.where(empty, (np.uint64(basis) * prime) & mask32, h)
+    for p in range(int(lens.max()) if len(lens) else 0):
+        live = np.flatnonzero(lens > p)
+        h[live] = ((h[live] ^ cp[starts[live] + p]) * prime) & mask32
+    h[lens == 0] = (np.uint64(basis) * prime) & mask32
     return h
 
 
@@ -367,161 +363,54 @@ def winnow_fingerprints(text: str, k: int = 8, window: int = 4) -> "list[int]":
     return sorted(set(int(v) for v in mins))
 
 
-def winnow_sets_batch(
-    texts: "list[str]", k: int = 8, window: int = 4, cell_budget: int = 32_000_000
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Full distinct fingerprint SETS per doc (the winnowing index the
-    n_fp/min_fp summary is derived from): returns (flat int64 fingerprints
-    in doc order, per-doc counts).  Same length-sorted chunking as
-    winnow_batch; each doc's slice is sorted ascending and distinct."""
-    n = len(texts)
-    counts = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return np.empty(0, np.int64), counts
-    lens_all = np.fromiter((len(t) for t in texts), dtype=np.int64, count=n)
-    order = np.argsort(lens_all, kind="stable")
-    chunk_idx, chunk_counts, chunk_flat = [], [], []
-    start = 0
-    while start < n:
-        end = start + 1
-        while end < n:
-            w = max(int(lens_all[order[end]]), 1)
-            if (end - start + 1) * w > cell_budget:
-                break
-            end += 1
-        idx = order[start:end]
-        nf, _, flat = _winnow_chunk([texts[i] for i in idx], k, window, collect=True)
-        counts[idx] = nf
-        chunk_idx.append(idx)
-        chunk_counts.append(nf)
-        chunk_flat.append(flat)
-        start = end
-    all_idx = np.concatenate(chunk_idx)
-    all_counts = np.concatenate(chunk_counts)
-    all_flat = np.concatenate(chunk_flat) if chunk_flat else np.empty(0, np.int64)
-    # reorder the chunk-concatenated fps back to original doc order with a
-    # vectorized repeat/gather (no per-doc slicing loop)
-    offs = np.concatenate([[0], np.cumsum(all_counts)])
-    pos = np.argsort(all_idx, kind="stable")
-    lens = all_counts[pos]
-    total = int(lens.sum())
-    if total == 0:
-        return np.empty(0, np.int64), counts
-    inner = np.arange(total, dtype=np.int64) - np.repeat(
-        np.concatenate([[0], np.cumsum(lens)[:-1]]), lens
-    )
-    gather = np.repeat(offs[pos], lens) + inner
-    return all_flat[gather], counts
+def winnow_sets_batch(text_col, k: int = 8, window: int = 4) -> "tuple[np.ndarray, np.ndarray]":
+    """Full distinct fingerprint SETS per doc of a string column (the
+    winnowing index the n_fp/min_fp summary is derived from): returns
+    (flat int64 fingerprints in doc order, per-doc counts); each doc's
+    slice is sorted ascending, identical to winnow_fingerprints.
 
-
-def winnow_batch(
-    texts: "list[str]", k: int = 8, window: int = 4, cell_budget: int = 32_000_000
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Vectorized winnowing over a whole batch: codepoint matrices, FNV
-    over k-gram windows in k vector steps, window-min via a stride view —
-    no per-doc Python.  Returns (n_fingerprints int64, min_fingerprint
-    int64) per doc, identical to winnow_fingerprints.
-
-    The 'U' matrix pads every doc to the longest doc's width, so docs are
-    processed in LENGTH-SORTED chunks bounded by ``cell_budget`` cells —
-    one long document cannot inflate the whole batch's memory n_docs-fold."""
-    n = len(texts)
-    n_fp = np.zeros(n, dtype=np.int64)
-    min_fp = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return n_fp, min_fp
-    lens_all = np.fromiter((len(t) for t in texts), dtype=np.int64, count=n)
-    order = np.argsort(lens_all, kind="stable")
-    start = 0
-    while start < n:
-        end = start + 1
-        width = max(int(lens_all[order[end - 1]]), 1)
-        while end < n:
-            w = max(int(lens_all[order[end]]), 1)
-            if (end - start + 1) * w > cell_budget:
-                break
-            width = w
-            end += 1
-        idx = order[start:end]
-        nf, mf = _winnow_chunk([texts[i] for i in idx], k, window)
-        n_fp[idx] = nf
-        min_fp[idx] = mf
-        start = end
-    return n_fp, min_fp
-
-
-def _winnow_chunk(
-    texts: "list[str]", k: int, window: int, collect: bool = False
-):
-    """Returns (n_fp, min_fp) — and, with collect=True, additionally the
-    flat int64 array of each row's distinct fingerprints in chunk-row
-    order (each row's slice sorted ascending)."""
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    n = len(texts)
-    n_fp = np.zeros(n, dtype=np.int64)
-    min_fp = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return (n_fp, min_fp, np.empty(0, np.int64)) if collect else (n_fp, min_fp)
-    a = np.asarray(texts, dtype="U")
-    width = max(a.dtype.itemsize // 4, 1)
-    if width < k:
-        return (n_fp, min_fp, np.empty(0, np.int64)) if collect else (n_fp, min_fp)
-    cp = a.view(np.uint32).reshape(n, width).astype(np.uint64)
-    lens = (cp != 0).sum(axis=1)
-    # FNV-1a over each k-codepoint window: k vector steps on (n, width-k+1)
-    grams = sliding_window_view(cp, k, axis=1)  # (n, width-k+1, k) view
-    h = np.full(grams.shape[:2], FNV_BASIS, dtype=np.uint64)
+    Ragged windows over the batch's one codepoint array (`grams`): FNV
+    over every k-gram in k vector steps, then the min of every `window`
+    consecutive grams of a doc (a doc with fewer grams keeps the min of
+    all of them) — no per-doc Python, no padding."""
+    cp, starts = grams.decode(text_col)
+    doc, first = grams.windows(starts, k)
+    h = np.full(len(first), FNV_BASIS, dtype=np.uint64)
     prime = np.uint64(FNV_PRIME)
     mask32 = np.uint64(0xFFFFFFFF)
     for j in range(k):
-        h = ((h ^ grams[:, :, j]) * prime) & mask32
-    n_grams = np.maximum(lens - k + 1, 0)
-    pos = np.arange(h.shape[1])[None, :]
-    invalid = pos >= n_grams[:, None]
-    h = np.where(invalid, np.uint64(2**63), h)  # sentinel > any fnv32
-    # window-of-`window` minima over valid gram positions
-    if h.shape[1] >= window:
-        wmins = sliding_window_view(h, window, axis=1).min(axis=2)
-    else:
-        wmins = h.min(axis=1, keepdims=True)
-    n_mins = np.where(n_grams > window, n_grams - window + 1, (n_grams > 0).astype(np.int64))
-    # short docs (<= window grams): single fingerprint = min of all grams
-    few = (n_grams > 0) & (n_grams <= window)
-    many = n_grams > window
-    uniq = None
-    srt = None
-    if many.any():
-        wm = wmins[many]
-        mpos = np.arange(wm.shape[1])[None, :]
-        wm = np.where(mpos >= n_mins[many][:, None], np.uint64(2**63), wm)
-        srt = np.sort(wm, axis=1)
-        valid = srt < np.uint64(2**63)
-        uniq = valid.copy()
-        uniq[:, 1:] &= srt[:, 1:] != srt[:, :-1]
-        n_fp[many] = uniq.sum(axis=1)
-        min_fp[many] = srt[:, 0].astype(np.int64)
-    if few.any():
-        min_fp[few] = h[few].min(axis=1).astype(np.int64)  # h sentinel-masked
-        n_fp[few] = 1
-    if not collect:
-        return n_fp, min_fp
-    # flat per-row distinct fp sets in chunk-row order: place the "many"
-    # rows' mask-selected values and the "few" rows' single min with one
-    # repeat/gather each (row-major boolean indexing preserves row order)
-    offs = np.concatenate([[0], np.cumsum(n_fp)])
-    flat = np.empty(int(offs[-1]), dtype=np.int64)
-    if many.any():
-        rows = np.flatnonzero(many)
-        lens = n_fp[rows]
-        inner = np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(
-            np.concatenate([[0], np.cumsum(lens)[:-1]]), lens
+        h = ((h ^ cp[first + j]) * prime) & mask32
+    n_grams = np.bincount(doc, minlength=len(starts) - 1)
+    g_starts = np.concatenate([[0], np.cumsum(n_grams)])
+    wdoc, wfirst = grams.windows(g_starts, window)
+    wmin = h[wfirst]
+    for j in range(1, window):
+        wmin = np.minimum(wmin, h[wfirst + j])
+    has = n_grams > 0
+    few = n_grams[has] < window
+    doc_min = np.minimum.reduceat(h, g_starts[:-1][has])[few]
+    # (doc << 32 | fp): one np.unique sorts and dedups per doc
+    key = np.unique(
+        np.concatenate(
+            [
+                (wdoc.astype(np.uint64) << np.uint64(32)) | wmin,
+                (np.flatnonzero(has)[few].astype(np.uint64) << np.uint64(32)) | doc_min,
+            ]
         )
-        tgt = np.repeat(offs[rows], lens) + inner
-        flat[tgt] = srt[uniq].astype(np.int64)
-    if few.any():
-        flat[offs[np.flatnonzero(few)]] = min_fp[few]
-    return n_fp, min_fp, flat
+    )
+    counts = np.bincount((key >> np.uint64(32)).astype(np.int64), minlength=len(n_grams))
+    return (key & mask32).astype(np.int64), counts.astype(np.int64)
+
+
+def winnow_batch(text_col, k: int = 8, window: int = 4) -> "tuple[np.ndarray, np.ndarray]":
+    """Per-doc (n_fingerprints int64, min_fingerprint int64; 0 for a doc
+    without fingerprints) of a string column, identical to
+    winnow_fingerprints."""
+    fp, n_fp = winnow_sets_batch(text_col, k, window)
+    min_fp = np.zeros(len(n_fp), dtype=np.int64)
+    has = n_fp > 0
+    min_fp[has] = fp[(np.cumsum(n_fp) - n_fp)[has]]
+    return n_fp, min_fp
 
 
 def jaccard(a: set, b: set) -> float:

@@ -29,6 +29,7 @@ import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Sum
 
+from multimedia_indexing_ray.functions import grams
 from multimedia_indexing_ray.functions import segments as sg
 from multimedia_indexing_ray.functions import text as tx
 from multimedia_indexing_ray.functions.text import langid
@@ -3874,7 +3875,7 @@ def q_winnow(sf_dir: str):
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
 
     def _fn(batch: pa.Table) -> pa.Table:
-        n_fp, min_fp = tx.winnow_batch(batch["text"].to_pylist())
+        n_fp, min_fp = tx.winnow_batch(batch["text"])
         return pa.table(
             {
                 "doc_id": batch["doc_id"],
@@ -5900,8 +5901,7 @@ def q_decontaminate(sf_dir: str):
         m = (ids % 23) == 7
         if not m.any():
             return pa.table({"fp": pa.array([], pa.int64())})
-        texts = [t for t, keep in zip(batch["text"].to_pylist(), m) if keep]
-        flat, _ = tx.winnow_sets_batch(texts)
+        flat, _ = tx.winnow_sets_batch(batch["text"].filter(pa.array(m)))
         return pa.table({"fp": pa.array(np.unique(flat), pa.int64())})
 
     rows = docs.map_batches(_bench_fps, batch_format="pyarrow").take_all()
@@ -5910,7 +5910,7 @@ def q_decontaminate(sf_dir: str):
 
     def _flag(batch: pa.Table) -> pa.Table:
         bl = _ray.get(ref)
-        flat, counts = tx.winnow_sets_batch(batch["text"].to_pylist())
+        flat, counts = tx.winnow_sets_batch(batch["text"])
         n = len(counts)
         hit = sg.sorted_member(bl, flat)
         doc_of = np.repeat(np.arange(n, dtype=np.int64), counts)
@@ -5970,8 +5970,7 @@ def q_contamination_score(sf_dir: str):
         m = (ids % 23) == 7
         if not m.any():
             return pa.table({"fp": pa.array([], pa.int64())})
-        texts = [t for t, keep in zip(batch["text"].to_pylist(), m) if keep]
-        flat, _ = tx.winnow_sets_batch(texts)
+        flat, _ = tx.winnow_sets_batch(batch["text"].filter(pa.array(m)))
         return pa.table({"fp": pa.array(np.unique(flat), pa.int64())})
 
     rows = docs.map_batches(_bench_fps, batch_format="pyarrow").take_all()
@@ -5980,7 +5979,7 @@ def q_contamination_score(sf_dir: str):
 
     def _score(batch: pa.Table) -> pa.Table:
         bl = _ray.get(ref)
-        flat, counts = tx.winnow_sets_batch(batch["text"].to_pylist())
+        flat, counts = tx.winnow_sets_batch(batch["text"])
         n = len(counts)
         hit = sg.sorted_member(bl, flat)
         doc_of = np.repeat(np.arange(n, dtype=np.int64), counts)
@@ -6911,8 +6910,7 @@ def q_corpus_curation_v2(sf_dir: str):
         m = (ids % 23) == 7
         if not m.any():
             return pa.table({"fp": pa.array([], pa.int64())})
-        texts = [t for t, keep in zip(batch["text"].to_pylist(), m) if keep]
-        flat, _ = tx.winnow_sets_batch(texts)
+        flat, _ = tx.winnow_sets_batch(batch["text"].filter(pa.array(m)))
         return pa.table({"fp": pa.array(np.unique(flat), pa.int64())})
 
     rows = docs.map_batches(_bench_fps, batch_format="pyarrow").take_all()
@@ -6922,7 +6920,7 @@ def q_corpus_curation_v2(sf_dir: str):
     def _drop_contaminated(batch: pa.Table) -> pa.Table:
         bl = _ray.get(bref)
         ids = batch["doc_id"].to_numpy()
-        flat, counts = tx.winnow_sets_batch(batch["text"].to_pylist())
+        flat, counts = tx.winnow_sets_batch(batch["text"])
         hit = sg.sorted_member(bl, flat)
         doc_of = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         n_shared = np.bincount(doc_of[hit], minlength=len(counts))
@@ -8161,6 +8159,10 @@ def q_dataset_checksum(sf_dir: str):
     )
 
 
+# RE2 \s — the whitespace set shared with token_count's '\S+'
+_BPE_WS = np.array([9, 10, 12, 13, 32], np.uint32)
+
+
 @register(
     "bpe_pair_counts",
     r"""
@@ -8176,12 +8178,13 @@ def q_dataset_checksum(sf_dir: str):
 def q_bpe_pair_counts(sf_dir: str):
     """The first step of BPE tokenizer TRAINING: adjacent-codepoint pair
     frequencies across all token occurrences (the argmax pair is the
-    first merge).  Fully vectorized — each batch joins its tokens with a
-    NUL separator, views the string as a uint32 codepoint array, masks
-    cross-token positions, and packs each pair into one int64 key
-    (cp1 << 21 | cp2); per-batch partials carry the PAIR VOCABULARY (not
-    the corpus), and one keyed reduce sums them.  Pair strings are
-    materialized only for result rows."""
+    first merge).  Fully vectorized — each batch's text is decoded once
+    into one codepoint array (`functions/grams.py`); a token pair is an
+    adjacent pair with neither codepoint RE2 whitespace (the `\\S+`
+    token rule) inside one document, packed into one int64 key; per-batch
+    partials carry the PAIR VOCABULARY (not the corpus), and one keyed
+    reduce sums them.  Pair strings are materialized only for result
+    rows."""
     from multimedia_indexing_ray.stages.partition import map_partitions_by_key
 
     docs = _rp(sf_dir, "documents", ["text"])
@@ -8191,27 +8194,8 @@ def q_bpe_pair_counts(sf_dir: str):
     )
 
     def _partial(batch: pa.Table) -> pa.Table:
-        flat, _ = tx.flat_tokens(batch["text"])
-        if len(flat) == 0:
-            return _empty
-        # no join sentinel (a NUL inside a token would alias it): tokens
-        # concatenate directly and cross-token pairs are masked off via
-        # the cumulative token-length boundaries
-        lens = np.fromiter((len(t) for t in flat), dtype=np.int64, count=len(flat))
-        cp = np.frombuffer(
-            "".join(flat).encode("utf-32-le"), dtype="<u4"
-        ).astype(np.int64)
-        if len(cp) < 2:
-            return _empty
-        valid = np.ones(len(cp) - 1, dtype=bool)
-        bnd = np.cumsum(lens)[:-1]  # first codepoint index of tokens 1..k-1
-        valid[bnd - 1] = False
-        a, b = cp[:-1], cp[1:]
-        keys, n = np.unique((a[valid] << 21) | b[valid], return_counts=True)
-        pairs = [chr(k >> 21) + chr(k & 0x1FFFFF) for k in keys]
-        return pa.table(
-            {"pair": pa.array(pairs, pa.string()), "n": pa.array(n.astype(np.int64), pa.int64())}
-        )
+        keys, n = grams.pair_counts(*grams.decode(batch["text"]), _BPE_WS)
+        return pa.table({"pair": grams.pair_strings(keys), "n": pa.array(n, pa.int64())})
 
     partials = docs.map_batches(_partial, batch_format="pyarrow")
     return map_partitions_by_key(
@@ -8960,44 +8944,20 @@ _GRAM_CHARS = 16
 
 def _span_grams(batch: pa.Table, K: int) -> pa.Table:
     """(gram fixed_size_binary(4K), doc_id, i): every K-codepoint window
-    of every doc, packed ZERO-COPY from the UTF-32 codepoint array (so a
-    gram is exact bytes, not a hash — collisions impossible); ``i`` is
-    the 1-based codepoint start, exactly SQL ``substr`` semantics.
-    Extraction loops per DOCUMENT (C-level utf-32 encode + one
-    sliding_window_view per doc), never per gram/char.  Shared by
-    `q_dup_span_docs` and `q_dup_span_scrub`."""
-    GB = pa.binary(4 * K)
-    empty = pa.table(
-        {
-            "gram": pa.array([], GB),
-            "doc_id": pa.array([], pa.int64()),
-            "i": pa.array([], pa.int64()),
-        }
-    )
+    of every doc, packed from the batch's one codepoint array
+    (`functions/grams.py`; a gram is exact bytes, not a hash — collisions
+    impossible); ``i`` is the 1-based codepoint start, exactly SQL
+    ``substr`` semantics.  Windows are offset arithmetic over the whole
+    batch, never a loop per doc/gram/char.  Shared by `q_dup_span_docs`
+    and `q_dup_span_scrub`."""
+    cp, starts = grams.decode(batch["text"])
+    doc, first = grams.windows(starts, K)
     ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-    texts = batch["text"].to_pylist()
-    chunks, out_ids, out_pos = [], [], []
-    for did, s in zip(ids, texts):
-        if s is None or len(s) < K:
-            continue
-        u32 = np.frombuffer(s.encode("utf-32-le"), np.uint32)
-        win = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(u32, K))
-        m = len(win)
-        chunks.append(win)
-        out_ids.append(np.full(m, did, np.int64))
-        out_pos.append(np.arange(1, m + 1, dtype=np.int64))
-    if not chunks:
-        return empty
-    data = np.concatenate(chunks)
-    n = len(data)
-    grams = pa.FixedSizeBinaryArray.from_buffers(
-        GB, n, [None, pa.py_buffer(data.tobytes())]
-    )
     return pa.table(
         {
-            "gram": grams,
-            "doc_id": pa.array(np.concatenate(out_ids), pa.int64()),
-            "i": pa.array(np.concatenate(out_pos), pa.int64()),
+            "gram": grams.to_binary(grams.window_values(cp, first, K)),
+            "doc_id": pa.array(ids[doc], pa.int64()),
+            "i": pa.array(first - starts[doc] + 1, pa.int64()),
         }
     )
 
@@ -9013,11 +8973,9 @@ def _span_dup_positions(t: pa.Table, K: int) -> pa.Table:
     )
     if t.num_rows == 0:
         return empty
-    col = t["gram"].combine_chunks()
-    raw = np.frombuffer(col.buffers()[1], dtype=f"V{4 * K}")[
-        col.offset : col.offset + len(col)
-    ]
-    _, inv, cnt = np.unique(raw, return_inverse=True, return_counts=True)
+    _, inv, cnt = np.unique(
+        grams.binary_view(t["gram"]), return_inverse=True, return_counts=True
+    )
     keep = cnt[inv] > 1
     if not keep.any():
         return empty
@@ -9050,11 +9008,11 @@ def q_dup_span_docs(sf_dir: str):
     twice within the same document) — the per-doc duplicated-text mass a
     span-removal pass would cut.
 
-    Grams are windows over the UTF-32 codepoint array (exactly SQL
-    ``substr`` semantics), packed zero-copy into fixed-size-binary(64)
-    Arrow values — no per-gram Python objects.  ONE slim keyed exchange of
-    (gram, doc_id, pos) rows groups equal grams (exact bytes, not hashes,
-    so collisions are impossible); occurrences of corpus-repeated grams
+    Grams are windows over the batch's one codepoint array
+    (`functions/grams.py`; exactly SQL ``substr`` semantics), packed into
+    fixed-size-binary(64) Arrow values — no per-gram Python objects.  ONE
+    slim keyed exchange of (gram, doc_id, pos) rows groups equal grams
+    (exact bytes, not hashes, so collisions are impossible); occurrences of corpus-repeated grams
     come back as (doc_id, pos) hits, union with the per-doc length rows,
     and a second doc-keyed pass computes the interval-union length with a
     segmented min(gap, 16) prefix kernel — equal-length intervals make
@@ -9066,8 +9024,8 @@ def q_dup_span_docs(sf_dir: str):
     `q_winnow_fingerprint_docs` as a candidate-document prefilter so only
     documents sharing a winnowed fingerprint enter the exact pass (same
     blocking-then-verify shape as `dd.anchor_jaccard_pairs`).  Gram
-    extraction loops per DOCUMENT (C-level utf-32 encode + one
-    sliding_window_view per doc), never per gram/char.
+    extraction is one decode per batch plus offset arithmetic, never a
+    loop per doc, gram or char.
 
     Below `GRAFT_DUPSPAN_COALESCE_DOCS` documents (default 20k — the cap
     is lower than `_COALESCE_DOCS` because the in-process gram table is
@@ -9206,11 +9164,12 @@ def q_dup_span_scrub(sf_dir: str):
     Scale shape: hits come from the same slim gram exchange as
     dup_span_docs; the second exchange is doc-keyed and must ship the
     TEXT once (inherent — the output IS text), plus 8B per hit position.
-    Per-doc scrub is a vectorized diff-array coverage mask over the
-    UTF-32 array (np.add.at + cumsum), one encode/decode per doc, never
-    per char.  Coalesce gate identical to dup_span_docs
-    (`GRAFT_DUPSPAN_COALESCE_DOCS`, metadata-only row count); the
-    distributed plan is the same code, flipped in the scale rehearsal."""
+    The scrub is one diff-array coverage mask (bincount + cumsum) over
+    the partition's one codepoint array and one re-encode of the kept
+    codepoints — never a loop per doc or char.  Coalesce gate identical
+    to dup_span_docs (`GRAFT_DUPSPAN_COALESCE_DOCS`, metadata-only row
+    count); the distributed plan is the same code, flipped in the scale
+    rehearsal."""
     from multimedia_indexing_ray.stages.partition import map_partitions_by_key
 
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
@@ -9265,37 +9224,25 @@ def q_dup_span_scrub(sf_dir: str):
         pos = t["i"].to_numpy(zero_copy_only=False)
         order = np.lexsort((pos, d))
         d, pos = d[order], pos[order]
-        texts = t["text"].take(pa.array(order, pa.int64())).to_pylist()
-        starts = sg.segment_starts(d)
-        ends = np.concatenate([starts[1:], [len(d)]])
-        out_ids, out_txt, out_kept = [], [], []
-        for s, e in zip(starts, ends):
-            # first row of the segment is the doc row (i == 0)
-            txt = texts[s]
-            out_ids.append(d[s])
-            if txt is None or txt == "":
-                out_txt.append("")
-                out_kept.append(0)
-                continue
-            if e - s == 1:  # no hits: everything kept
-                out_txt.append(txt)
-                out_kept.append(len(txt))
-                continue
-            u32 = np.frombuffer(txt.encode("utf-32-le"), np.uint32)
-            n = len(u32)
-            h = pos[s + 1 : e]  # 1-based covered-span starts, unique
-            delta = np.zeros(n + 1, np.int64)
-            np.add.at(delta, h - 1, 1)
-            np.add.at(delta, np.minimum(h - 1 + K, n), -1)
-            covered = np.cumsum(delta[:n]) > 0
-            kept = u32[~covered]
-            out_txt.append(kept.tobytes().decode("utf-32-le"))
-            out_kept.append(len(kept))
+        # the first row of each doc's segment is its doc row (i == 0)
+        heads = sg.segment_starts(d)
+        cp, starts = grams.decode(t["text"].take(pa.array(order[heads], pa.int64())))
+        # covered-codepoint mask over the whole batch: +1 at every hit's
+        # first codepoint, -1 one past its K-th (clipped to the doc end)
+        hit = pos > 0
+        seg = np.repeat(np.arange(len(heads)), sg.segment_counts(heads, len(d)))[hit]
+        lo = starts[seg] + pos[hit] - 1
+        hi = np.minimum(lo + K, starts[seg + 1])
+        n = len(cp)
+        covered = np.cumsum(
+            np.bincount(lo, minlength=n + 1) - np.bincount(hi, minlength=n + 1)
+        )[:n] > 0
+        kept_at = np.concatenate([[0], np.cumsum(~covered)])[starts]
         return pa.table(
             {
-                "doc_id": pa.array(np.array(out_ids, np.int64), pa.int64()),
-                "clean_text": pa.array(out_txt, pa.string()),
-                "n_kept": pa.array(np.array(out_kept, np.int64), pa.int64()),
+                "doc_id": pa.array(d[heads], pa.int64()),
+                "clean_text": grams.encode(cp[~covered], kept_at),
+                "n_kept": pa.array(np.diff(kept_at), pa.int64()),
             }
         )
 
@@ -12735,32 +12682,15 @@ def _bpe_sql() -> str:
     return "".join(parts) + "\n    " + unions
 
 
-# RE2 \s — the whitespace set shared with token_count's '\S+'
-_BPE_WS = np.array([9, 10, 12, 13, 32], np.uint32)
-
-
 def _bpe_pair_counts_batch(texts: pa.ChunkedArray, merges) -> pa.Table:
     """Apply the merge list (pair string -> marker char) to the batch's
-    text, then count adjacent non-whitespace char pairs, vectorized:
-    the batch joins into ONE utf-32 buffer ('\\n' separators are
-    whitespace, so cross-doc pairs drop out with the mask) and the
-    pair key packs both code points into an int64."""
-    arr = pa.array(texts) if not isinstance(texts, (pa.Array, pa.ChunkedArray)) else texts
+    text, then count adjacent non-whitespace char pairs inside each
+    document over the batch's one codepoint array (`grams.pair_counts`);
+    the pair key packs both code points into an int64."""
     for pair_str, marker in merges:
-        arr = pc.replace_substring(arr, pattern=pair_str, replacement=marker)
-    joined = "\n".join(x for x in arr.to_pylist() if x)
-    a = np.frombuffer(joined.encode("utf-32-le"), dtype=np.uint32)
-    if len(a) < 2:
-        return pa.table(
-            {"pk": pa.array([], pa.int64()), "n": pa.array([], pa.int64())}
-        )
-    lo, hi = a[:-1], a[1:]
-    mask = ~np.isin(lo, _BPE_WS) & ~np.isin(hi, _BPE_WS)
-    key = (lo[mask].astype(np.int64) << 32) | hi[mask].astype(np.int64)
-    uniq, cnt = np.unique(key, return_counts=True)
-    return pa.table(
-        {"pk": pa.array(uniq, pa.int64()), "n": pa.array(cnt.astype(np.int64))}
-    )
+        texts = pc.replace_substring(texts, pattern=pair_str, replacement=marker)
+    keys, n = grams.pair_counts(*grams.decode(texts), _BPE_WS)
+    return pa.table({"pk": pa.array(keys, pa.int64()), "n": pa.array(n, pa.int64())})
 
 
 @register("bpe_train_merges", _bpe_sql())
@@ -12779,8 +12709,8 @@ def q_bpe_train_merges(sf_dir: str):
     'aa' -> 'Xa' on both).
 
     Scale plan: each round is ONE stateless corpus pass (apply the
-    <= 8-entry merge list, count pairs vectorized over a single
-    utf-32 buffer per batch) into a `_tiny_group_sum` of (pair, n)
+    <= 8-entry merge list, count pairs vectorized over the batch's one
+    codepoint array) into a `_tiny_group_sum` of (pair, n)
     partials — the aggregate is bounded by the live symbol alphabet
     squared, the same bounded-vocabulary regime as `bpe_pair_counts`;
     the driver only picks the per-round argmax.  Words never
@@ -13288,49 +13218,29 @@ def q_source_overlap_matrix(sf_dir: str):
     governance table that says which feeds are re-crawling the same
     content (the pairwise, source-level view of what `dup_span_docs`
     measures per document and `decontaminate_docs` measures against a
-    benchmark).  Grams reuse `_span_grams`' zero-copy utf-32 windows
-    (exact bytes, SQL substr semantics, no hash collisions).
+    benchmark).  Grams are the same windows as `_span_grams`' over the
+    batch's one codepoint array (exact bytes, SQL substr semantics, no
+    hash collisions).
 
-    Plan: per-batch distinct (gram, source) combiner (np.unique over
-    the packed window+source rows) -> ONE gram-keyed exchange of slim
-    binary rows -> per-gram sorted distinct sources expand to pairs
+    Plan: per-batch distinct (gram, source) combiner (`grams.distinct`
+    over the packed windows and source index) -> ONE gram-keyed
+    exchange of slim binary rows -> per-gram sorted distinct sources expand to pairs
     with a vectorized within-segment triangle (`_pairs_within_segments`
     — no per-gram loop; pairs per gram <= |sources|^2) -> tiny
     (src_a, src_b) sum."""
     from multimedia_indexing_ray.stages.partition import map_partitions_by_key
 
     K = _GRAM_CHARS
-    GB = pa.binary(4 * K)
-
-    _gs_schema = pa.schema([("gram", GB), ("source", pa.string())])
 
     def _gram_src(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        src = batch["source"].to_numpy(zero_copy_only=False)
-        texts = batch["text"].to_pylist()
-        src_uniq, src_idx = np.unique(src, return_inverse=True)
-        chunks = []
-        for si, s in zip(src_idx, texts):
-            if s is None or len(s) < K:
-                continue
-            u32 = np.frombuffer(s.encode("utf-32-le"), np.uint32)
-            win = np.lib.stride_tricks.sliding_window_view(u32, K)
-            chunks.append(
-                np.column_stack([win, np.full(len(win), si, np.uint32)])
-            )
-        if not chunks:
-            return _gs_schema.empty_table()
-        data = np.unique(np.concatenate(chunks), axis=0)
-        grams = pa.FixedSizeBinaryArray.from_buffers(
-            GB,
-            len(data),
-            [None, pa.py_buffer(np.ascontiguousarray(data[:, :K]).tobytes())],
+        cp, starts = grams.decode(batch["text"])
+        doc, first = grams.windows(starts, K)
+        src_uniq, src_idx = np.unique(
+            batch["source"].to_numpy(zero_copy_only=False), return_inverse=True
         )
+        gv, si = grams.distinct(grams.window_values(cp, first, K), src_idx[doc])
         return pa.table(
-            {
-                "gram": grams,
-                "source": pa.array(src_uniq[data[:, K]], pa.string()),
-            }
+            {"gram": grams.to_binary(gv), "source": pa.array(src_uniq[si], pa.string())}
         )
 
     _out_schema = pa.schema(
@@ -13341,16 +13251,10 @@ def q_source_overlap_matrix(sf_dir: str):
     def _expand(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return _out_schema.empty_table()
-        col = t["gram"].combine_chunks()
-        gb = np.frombuffer(col.buffers()[1], dtype=f"V{4 * K}")[
-            col.offset : col.offset + len(col)
-        ]
-        src = t["source"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((src, gb))
-        gb, src = gb[order], src[order]
         # distinct (gram, source) after the exchange
-        keep = np.r_[True, (gb[1:] != gb[:-1]) | (src[1:] != src[:-1])]
-        gb, src = gb[keep], src[keep]
+        gb, src = grams.distinct(
+            grams.binary_view(t["gram"]), t["source"].to_numpy(zero_copy_only=False)
+        )
         starts = sg.segment_starts(gb)
         a, b = _pairs_within_segments(starts, len(gb))
         if len(a) == 0:
@@ -13561,8 +13465,8 @@ def q_shingle_novelty_docs(sf_dir: str):
     inverse view of `dup_span_docs` (which measures repeated MASS;
     this attributes each repeat to its first owner).
 
-    Plan: per-batch distinct (gram, doc) via the `_span_grams` packed
-    windows + one np.unique -> ONE gram-keyed exchange; the per-gram
+    Plan: per-batch distinct (gram, doc) via the `_span_grams` windows
+    + `grams.distinct` -> ONE gram-keyed exchange; the per-gram
     kernel marks min-doc owners (rows arrive sorted per gram, so the
     owner is the segment head) and emits (doc, 1, is_first) partials;
     a second doc-keyed exchange sums them.  Both exchanges carry slim
@@ -13570,32 +13474,13 @@ def q_shingle_novelty_docs(sf_dir: str):
     from multimedia_indexing_ray.stages.partition import map_partitions_by_key
 
     K = _GRAM_CHARS
-    GB = pa.binary(4 * K)
-
-    _gd_schema = pa.schema([("gram", GB), ("doc_id", pa.int64())])
 
     def _gram_doc(batch: pa.Table) -> pa.Table:
-        g = _span_grams(batch, K)
-        if g.num_rows == 0:
-            return _gd_schema.empty_table()
-        col = g["gram"].combine_chunks()
-        gb = np.frombuffer(col.buffers()[1], dtype=f"V{4 * K}")[
-            col.offset : col.offset + len(col)
-        ]
-        did = g["doc_id"].to_numpy()
-        order = np.lexsort((did, gb))
-        gb, did = gb[order], did[order]
-        keep = np.r_[True, (gb[1:] != gb[:-1]) | (did[1:] != did[:-1])]
-        return pa.table(
-            {
-                "gram": pa.FixedSizeBinaryArray.from_buffers(
-                    GB,
-                    int(keep.sum()),
-                    [None, pa.py_buffer(gb[keep].tobytes())],
-                ),
-                "doc_id": pa.array(did[keep], pa.int64()),
-            }
-        )
+        cp, starts = grams.decode(batch["text"])
+        doc, first = grams.windows(starts, K)
+        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        gv, did = grams.distinct(grams.window_values(cp, first, K), ids[doc])
+        return pa.table({"gram": grams.to_binary(gv), "doc_id": pa.array(did, pa.int64())})
 
     _part_schema = pa.schema(
         [("doc_id", pa.int64()), ("n", pa.int64()), ("novel", pa.int64())]
@@ -13604,15 +13489,7 @@ def q_shingle_novelty_docs(sf_dir: str):
     def _first_owner(t: pa.Table) -> pa.Table:
         if t.num_rows == 0:
             return _part_schema.empty_table()
-        col = t["gram"].combine_chunks()
-        gb = np.frombuffer(col.buffers()[1], dtype=f"V{4 * K}")[
-            col.offset : col.offset + len(col)
-        ]
-        did = t["doc_id"].to_numpy()
-        order = np.lexsort((did, gb))
-        gb, did = gb[order], did[order]
-        keep = np.r_[True, (gb[1:] != gb[:-1]) | (did[1:] != did[:-1])]
-        gb, did = gb[keep], did[keep]
+        gb, did = grams.distinct(grams.binary_view(t["gram"]), t["doc_id"].to_numpy())
         starts = sg.segment_starts(gb)
         is_first = np.zeros(len(gb), np.int64)
         is_first[starts] = 1  # sorted by (gram, doc): head = min doc
@@ -13745,16 +13622,15 @@ def q_kmeans_milli_2rounds(sf_dir: str):
         iq = np.floor(flat * 1000 + 0.5).astype(np.int64).reshape(len(ids), _KM_DIM)
         return ids, iq
 
-    # deterministic init: the K lowest-vec_id vectors (tiny driver pull)
-    t0 = _pq(sf_dir, "embeddings", ["vec_id", "embedding"])
-    order0 = np.argsort(t0["vec_id"].to_numpy(), kind="stable")[:_KM_K]
-    init = np.floor(
-        np.stack(
-            [np.asarray(t0["embedding"][int(i)].as_py(), np.float64) for i in order0]
-        )
-        * 1000
-        + 0.5
-    ).astype(np.int64)
+    # deterministic init: the K lowest-vec_id vectors — each batch keeps
+    # its own K lowest, so the driver merges at most batches x K rows
+    def _lowest(t: pa.Table) -> pa.Table:
+        keep = np.argsort(t["vec_id"].to_numpy(), kind="stable")[:_KM_K]
+        return t.take(pa.array(keep, pa.int64()))
+
+    refs = embs.map_batches(_lowest, batch_format="pyarrow").to_arrow_refs()
+    cand = _lowest(pa.concat_tables([t for t in _ray.get(refs) if t.num_rows]))
+    _, init = _quant(cand)
 
     def _assign(iq: np.ndarray, cents: np.ndarray):
         # exact int64 squared-L2 to every centroid; argmin ties -> low j

@@ -69,12 +69,55 @@ QUERIES = [
     "tokenizer_fertility_by_lang",
     "quantile_normalize_chars",
     "oov_rate_docs",
+    "dup_span_scrub",
 ]
+
+# U+0000 is an ordinary code point to SQL length/substr: a padded numpy
+# 'U' matrix would read it as padding and drop it
+NUL_DOCS = [
+    "\x00" * 20,  # 13 identical 8-grams: one fingerprint
+    "the quick brown\x00fox jumps!",  # 26 chars, NUL inside
+    "quick brown\x00fox jumps!\x00",  # trailing NUL; shares 16-grams
+]
+
+NUL_QUERIES = [
+    "winnow_fingerprint_docs",
+    "decontaminate_docs",
+    "contamination_score_docs",
+    "corpus_curation_v2",
+    "dup_span_docs",
+    "dup_span_scrub",
+    "shingle_novelty_docs",
+    "source_overlap_matrix",
+]
+
+
+def _write_corpus(d: str, docs, ids, sources) -> str:
+    n = len(docs)
+    t = pa.table(
+        {
+            "doc_id": pa.array(ids, pa.int64()),
+            "text": pa.array(docs, pa.string()),
+            "lang": pa.array(["en"] * n, pa.string()),
+            "source": pa.array(sources, pa.string()),
+            "n_chars": pa.array([len(s) for s in docs], pa.int64()),
+        }
+    )
+    papq.write_table(t, os.path.join(d, "documents.parquet"))
+    return d
+
+
+def _connect(d: str):
+    c = duckdb.connect()
+    c.execute(
+        "CREATE VIEW documents AS SELECT * FROM "
+        f"read_parquet('{d}/documents.parquet')"
+    )
+    return c
 
 
 @pytest.fixture(scope="module")
 def edge_dir(tmp_path_factory):
-    d = tmp_path_factory.mktemp("edge_corpus")
     n = len(EDGE_DOCS)
     # doc_ids cover the decontamination benchmark residue (% 23 == 7):
     # id 7 is the EMPTY doc (empty blocklist edge) and id 30 is a
@@ -83,27 +126,27 @@ def edge_dir(tmp_path_factory):
     # empty-blocklist and the real-intersection paths get exercised
     ids = np.arange(1, n + 1, dtype=np.int64) * 7
     ids[6] = 30  # the exactly-32-token doc shares 8-grams with docs 7/8
-    t = pa.table(
-        {
-            "doc_id": pa.array(ids, pa.int64()),
-            "text": pa.array(EDGE_DOCS, pa.string()),
-            "lang": pa.array(["en"] * n, pa.string()),
-            "source": pa.array(["edge"] * n, pa.string()),
-            "n_chars": pa.array([len(s) for s in EDGE_DOCS], pa.int64()),
-        }
+    return _write_corpus(
+        str(tmp_path_factory.mktemp("edge_corpus")), EDGE_DOCS, ids, ["edge"] * n
     )
-    papq.write_table(t, os.path.join(str(d), "documents.parquet"))
-    return str(d)
 
 
 @pytest.fixture(scope="module")
 def edge_con(edge_dir):
-    c = duckdb.connect()
-    c.execute(
-        "CREATE VIEW documents AS SELECT * FROM "
-        f"read_parquet('{edge_dir}/documents.parquet')"
+    return _connect(edge_dir)
+
+
+@pytest.fixture(scope="module")
+def nul_dir(tmp_path_factory):
+    # id 7 (% 23 == 7) puts the all-NUL doc in the benchmark set
+    return _write_corpus(
+        str(tmp_path_factory.mktemp("nul_corpus")), NUL_DOCS, [7, 8, 9], ["s0", "s1", "s2"]
     )
-    return c
+
+
+@pytest.fixture(scope="module")
+def nul_con(nul_dir):
+    return _connect(nul_dir)
 
 
 def _normalize(df: pd.DataFrame) -> pd.DataFrame:
@@ -111,13 +154,12 @@ def _normalize(df: pd.DataFrame) -> pd.DataFrame:
     return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
 
 
-@pytest.mark.parametrize("name", QUERIES)
-def test_edge_corpus_query_parity(ray_session, edge_dir, edge_con, name):
+def _check_parity(corpus_dir, con, name):
     import __ray_entry__ as e
 
-    res = e.queries()[name](edge_dir)
+    res = e.queries()[name](corpus_dir)
     mine = _normalize(res.to_pandas() if hasattr(res, "to_pandas") else res)
-    theirs = _normalize(edge_con.execute(e.oracle_sql()[name]).df())
+    theirs = _normalize(con.execute(e.oracle_sql()[name]).df())
     assert list(mine.columns) == list(theirs.columns), f"{name}: columns"
     assert len(mine) == len(theirs), f"{name}: rows {len(mine)} != {len(theirs)}"
     for c in mine.columns:
@@ -132,6 +174,16 @@ def test_edge_corpus_query_parity(ray_session, edge_dir, edge_con, name):
             )
         else:
             assert a.tolist() == b.tolist(), f"{name}.{c}"
+
+
+@pytest.mark.parametrize("name", QUERIES)
+def test_edge_corpus_query_parity(ray_session, edge_dir, edge_con, name):
+    _check_parity(edge_dir, edge_con, name)
+
+
+@pytest.mark.parametrize("name", NUL_QUERIES)
+def test_nul_corpus_query_parity(ray_session, nul_dir, nul_con, name):
+    _check_parity(nul_dir, nul_con, name)
 
 
 @pytest.mark.parametrize(

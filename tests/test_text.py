@@ -86,6 +86,8 @@ def test_winnow_batch_parity():
         "", "short", "exactly8", "nine char!", "x" * 7, "x" * 8, "x" * 12,
         "the quick brown fox jumps over the lazy dog and runs away fast",
         "unicode éèê test string with enough characters",
+        # U+0000 is an ordinary code point, not padding
+        "\x00" * 20, "abcdefghijkl\x00mnopqrstuvwxy", "fghijkl\x00mnopqrstuvwxy\x00",
     ]
     n_fp, min_fp = winnow_batch(texts)
     for i, t in enumerate(texts):
@@ -176,7 +178,53 @@ def test_winnow_sets_batch_parity():
         "".join(random.choice("abcdef ") for _ in range(random.randint(0, 120)))
         for _ in range(150)
     ]
-    flat, counts = winnow_sets_batch(texts, cell_budget=2_000)
+    flat, counts = winnow_sets_batch(texts)
     offs = np.r_[0, np.cumsum(counts)]
     for i, t in enumerate(texts):
         assert flat[offs[i] : offs[i + 1]].tolist() == winnow_fingerprints(t), i
+
+
+def test_grams_decode_matches_per_doc_encode():
+    """One decode per column == one utf-32 encode per document, over
+    slices, chunks, nulls (empty), empty input, CJK, astral and U+0000;
+    `encode` inverts it."""
+    from multimedia_indexing_ray.functions import grams
+
+    texts = ["", None, "abc", "日本語 テスト", "🎉 beyond 🌍 bmp", "a\x00b", "\x00" * 3,
+             "tail\x00", "héllo wörld"]
+    for typ in (pa.string(), pa.large_string()):
+        arr = pa.array(texts, typ)
+        for col in (
+            arr,
+            arr.slice(2, 5),  # non-zero offset into the shared buffers
+            pa.chunked_array([arr.slice(0, 4), arr.slice(4)]),
+            pa.chunked_array([], typ),
+            pa.array([], typ),
+        ):
+            docs = [s or "" for s in col.to_pylist()]
+            cp, starts = grams.decode(col)
+            assert cp.dtype == np.uint32 and starts.dtype == np.int64
+            want = [np.frombuffer(s.encode("utf-32-le"), np.uint32) for s in docs]
+            np.testing.assert_array_equal(cp, np.concatenate([np.empty(0, np.uint32), *want]))
+            np.testing.assert_array_equal(starts, np.cumsum([0] + [len(w) for w in want]))
+            back = grams.encode(cp, starts)
+            assert back.type == pa.string() and back.to_pylist() == docs
+
+
+def test_codepoint_decode_lives_only_in_grams():
+    """Every kernel gets codepoints from `functions/grams.py`; a second
+    utf-32 decode path anywhere else in the package fails this test."""
+    import pathlib
+
+    import multimedia_indexing_ray
+
+    root = pathlib.Path(multimedia_indexing_ray.__file__).parent
+    pat = re.compile(r"utf[-_ ]?32", re.IGNORECASE)
+    hits = [
+        f"{p.relative_to(root)}:{i}"
+        for p in sorted(root.rglob("*.py"))
+        if p.relative_to(root).as_posix() != "functions/grams.py"
+        for i, line in enumerate(p.read_text().splitlines(), 1)
+        if pat.search(line)
+    ]
+    assert hits == []
