@@ -41,6 +41,15 @@ from multimedia_indexing_ray.stages import knn as nn
 from multimedia_indexing_ray.stages.asof_join import asof_join
 from multimedia_indexing_ray.stages.features import compute_features
 from multimedia_indexing_ray.stages.join import broadcast_join, hash_join
+from multimedia_indexing_ray.stages.partition import (
+    BROADCAST_ROWS,
+    COALESCE_DOCS,
+    DUPSPAN_DOCS,
+    VOCAB_ROWS,
+    fits,
+    map_partitions_by_key,
+    partition_ids,
+)
 
 
 @dataclass(frozen=True)
@@ -48,12 +57,6 @@ class Query:
     fn: Callable[[str], Any]
     sql: Optional[str]  # None => driver records a weaker rows-only check
 
-
-# exchange-vs-coalesce rule for anchor-blocked Jaccard: below this many
-# docs the keyed exchange's fixed cost (~1-1.5s at 32 cpus) dwarfs the
-# kernel, so the identical kernel runs once in-process; the gate uses a
-# METADATA-ONLY parquet row count, so at scale nothing materializes
-_COALESCE_DOCS = int(os.environ.get("GRAFT_COALESCE_DOCS", "100000"))
 
 REGISTRY: "Dict[str, Query]" = {}
 
@@ -629,7 +632,7 @@ def q_region_revenue(sf_dir: str):
     # broadcast, so the whole query is ONE streaming fold over lineitem
     # with a per-batch |regions|-row partial — zero exchanges; at scale
     # the bucketed hash-join plan below is unchanged
-    if orders.count() <= _broadcast_row_cap():
+    if fits(orders.count(), BROADCAST_ROWS):
         import ray as _ray
 
         ot = _pq(sf_dir, "orders", ["o_orderkey", "o_custkey"])
@@ -797,7 +800,7 @@ def q_nation_revenue_share(sf_dir: str):
     # same gate as region_revenue: below the broadcast cap the orderkey ->
     # (region, nation) map ships once and the whole fact side is ONE
     # zero-exchange streaming fold to <= |nations| partials per batch
-    if orders.count() <= _broadcast_row_cap():
+    if fits(orders.count(), BROADCAST_ROWS):
         import ray as _ray
 
         ot = _pq(sf_dir, "orders", ["o_orderkey", "o_custkey"])
@@ -951,8 +954,6 @@ def basket_pair_metrics(
     """Pipeline body of `basket_part_pairs`, parameterized on partition
     count so partition invariance is directly testable."""
     import ray as _ray
-
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
 
     _ROWS_EMPTY = pa.table(
         {
@@ -1239,13 +1240,11 @@ def q_shipping_priority(sf_dir: str):
         take = np.lexsort((ok, -rc))[:10]
         return batch.take(pa.array(take, pa.int64()))
 
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     # below ~10M base lineitem rows (METADATA count) the three exchange
     # fixed costs dwarf the kernel: both filtered+pre-agged sides are
     # tiny, so join + final sum + top-10 run once in-process (identical
     # rules); the at-scale path below is unchanged
-    if li.count() <= _broadcast_row_cap():
+    if fits(li.count(), BROADCAST_ROWS):
         import ray as _ray
 
         lt = [t for t in _ray.get(
@@ -1313,8 +1312,6 @@ def q_event_histogram(sf_dir: str):
 def q_distinct_users(sf_dir: str):
     """Distributed distinct: per-batch dedup combiner, then per-partition
     dedup after ONE key shuffle — no driver-side `.unique()` pull."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["user_id"])
 
     def _batch_distinct(batch: pa.Table) -> pa.Table:
@@ -1527,24 +1524,6 @@ def q_repetition(sf_dir: str):
     return docs.map_batches(_fn, batch_format="pyarrow")
 
 
-def _broadcast_row_cap() -> int:
-    """Row cap for the metadata-gated broadcast fast paths of
-    region_revenue / shipping_priority (GRAFT_BROADCAST_ROW_CAP env —
-    the scale-rehearsal pressure knob; default 10M rows, at which point
-    the pre-agg + bucketed-join at-scale plan takes over)."""
-    return int(os.environ.get("GRAFT_BROADCAST_ROW_CAP", "10000000"))
-
-
-def _vocab_broadcast_cap() -> int:
-    """Row cap for driver-collected vocabulary/df tables (the tf-idf
-    family's analog of exact_jaccard_verify's max_broadcast_ids gate,
-    `stages/dedup.py`): under the cap the df table broadcasts via
-    ray.put; above it the scoring pass co-partitions doc-token pairs
-    with the df table on token so the vocabulary never hits the driver
-    (open-domain 100-TB corpora have unbounded vocabularies)."""
-    return int(os.environ.get("GRAFT_MAX_VOCAB_BROADCAST", "5000000"))
-
-
 _TF_PAIRS_EMPTY = pa.table(
     {
         "doc_id": pa.array([], pa.int64()),
@@ -1601,8 +1580,6 @@ def q_top_term(sf_dir: str):
     pairs and one small shuffle on token reduces them; the resulting
     vocabulary table is tiny (it is the aggregate, not the corpus) and is
     broadcast once via ray.put into the stage-2 actor lookups."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
 
     def _partial_df(batch: pa.Table) -> pa.Table:
@@ -1625,7 +1602,7 @@ def q_top_term(sf_dir: str):
         docs.map_batches(_partial_df, batch_format="pyarrow"), "tok", _reduce_df,
         num_partitions=8,
     ).materialize()
-    if df_ds.count() <= _vocab_broadcast_cap():
+    if fits(df_ds.count(), VOCAB_ROWS):
         # the df table is the small aggregated side (vocabulary-sized);
         # broadcast it once — the ray.put/actor-constructor pattern of
         # `mapreduce/VisualThreadedMapper.java:119-167` (DistributedCache)
@@ -1710,8 +1687,6 @@ def q_distinct_users_hourly(sf_dir: str):
     (the combiner), ONE shuffle on window_start, per-partition exact
     distinct.  The two-level shape keeps the exchange at distinct-pair
     volume, not event volume."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["user_id", "ts"])
     hour_us = np.int64(3600_000_000)
 
@@ -1769,8 +1744,6 @@ def q_value_quantiles(sf_dir: str):
 
     Scale: exchange volume is bounded by distinct (type, cents) pairs, not
     rows — the same partial-aggregate discipline as pricing_summary."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_type", "value"])
 
     def _hist(batch: pa.Table) -> pa.Table:
@@ -1903,7 +1876,6 @@ def q_pack_context_windows(sf_dir: str):
     (`running-sum <= capacity OR first-remaining`) to the sequential
     recurrence is hash-checked end-to-end."""
     from multimedia_indexing_ray.functions.packing import pack_partition
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
 
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
 
@@ -2127,8 +2099,12 @@ def q_simhash(sf_dir: str):
 
 
 def _query_vectors(sf_dir: str, n: int = 5):
-    emb = _pq(sf_dir, "embeddings", ["vec_id", "embedding"])
-    emb = emb.take(pa.array(range(n)))
+    """The first `n` embeddings in file order, read as one n-row batch
+    (the rest of the table is never read)."""
+    import pyarrow.parquet as papq
+
+    pf = papq.ParquetFile(os.path.join(sf_dir, "embeddings.parquet"))
+    emb = next(pf.iter_batches(batch_size=n, columns=["vec_id", "embedding"]))
     ids = emb["vec_id"].to_numpy()
     mat = np.stack([np.asarray(v, dtype=np.float64) for v in emb["embedding"].to_pylist()])
     return ids, mat
@@ -2524,7 +2500,6 @@ def q_incremental_serving_current(sf_dir: str):
     call per (shard, batch)); lookups never touch the event log."""
     import ray as _ray
 
-    from multimedia_indexing_ray.stages.partition import partition_ids
     from multimedia_indexing_ray.state.incremental import sharded_incremental
 
     ev = _rp(sf_dir, "events")
@@ -2892,8 +2867,6 @@ def q_user_type_pivot(sf_dir: str):
     Per-batch (user, type) partial counts -> one slim exchange -> a
     vectorized scatter-add pivot per partition; the wide row never
     exists until the final kernel."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["user_id", "event_type"])
     vocab = np.array(_EVENT_TYPES)
 
@@ -3061,7 +3034,6 @@ def q_session_funnel(sf_dir: str):
     on both sides."""
     from multimedia_indexing_ray.functions import segments as sg
     from multimedia_indexing_ray.stages.keyed import _codes, _sort_table, _ts_us
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
 
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
     thr_us = 1_800_000_000
@@ -3123,8 +3095,6 @@ def q_retention_cohorts(sf_dir: str):
     keyed exchange computes per-user cohort AND distinct active days in
     the same kernel (no second scan, no join); the (cohort, offset)
     cells then fold through the low-cardinality coalesced combiner."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["user_id", "ts"])
     DAY_US = np.int64(86_400_000_000)
 
@@ -3185,8 +3155,6 @@ def q_group_split_assign(sf_dir: str):
     conversation straddle train and test.  Per-batch partial counts ->
     one slim (user_id, n) exchange; the split label is a pure function
     of the key hash (no coordination, stable under any partitioning)."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["user_id"])
 
     def _partial(batch: pa.Table) -> pa.Table:
@@ -3654,7 +3622,6 @@ def q_corpus_curation(sf_dir: str):
 def q_topk_per_user(sf_dir: str):
     """Bounded-heap top-k per entity (K1 analog), vectorized per partition."""
     from multimedia_indexing_ray.functions import segments as sg
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
 
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "value"])
 
@@ -3705,7 +3672,7 @@ def q_ngram_jaccard(sf_dir: str):
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
     return dd.anchor_jaccard_pairs(
         docs, "text", "doc_id", threshold=0.3, num_partitions=16,
-        coalesce=docs.count() <= _COALESCE_DOCS,
+        coalesce=fits(docs.count(), COALESCE_DOCS),
     )
 
 
@@ -3744,7 +3711,7 @@ def q_containment_neardup(sf_dir: str):
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
     return dd.anchor_containment_pairs(
         docs, "text", "doc_id", threshold=0.8, num_partitions=16,
-        coalesce=docs.count() <= _COALESCE_DOCS,
+        coalesce=fits(docs.count(), COALESCE_DOCS),
     )
 
 
@@ -3797,7 +3764,7 @@ def q_dedup_clusters(sf_dir: str):
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
     pairs = dd.anchor_jaccard_pairs(
         docs, "text", "doc_id", threshold=0.3, num_partitions=16,
-        coalesce=docs.count() <= _COALESCE_DOCS,
+        coalesce=fits(docs.count(), COALESCE_DOCS),
     )
     return resolve_clusters(
         docs.select_columns(["doc_id"]), "doc_id", pairs, num_partitions=16
@@ -3843,7 +3810,7 @@ def q_dedup_canonical_best(sf_dir: str):
         "doc_id",
         threshold=0.3,
         num_partitions=16,
-        coalesce=docs.count() <= _COALESCE_DOCS,
+        coalesce=fits(docs.count(), COALESCE_DOCS),
     )
     return resolve_clusters_best(
         docs.select_columns(["doc_id", "n_chars"]), "doc_id", "n_chars", pairs
@@ -4519,8 +4486,6 @@ def q_zscore_per_user(sf_dir: str):
     stats-broadcast join).  All float ops mirror the SQL oracle's
     expression tree over exact int64 cent sums, so the doubles are
     bit-identical."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "value"])
 
     _empty = pa.table(
@@ -4578,8 +4543,6 @@ def q_median(sf_dir: str):
     middle elements is np.median's formula and matches DuckDB's
     quantile_cont(0.5) bit-exactly on doubles (lo==hi when n is odd, so
     one fancy-index pass covers both parities)."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["user_id", "value"])
 
     _empty = pa.table(
@@ -5015,8 +4978,6 @@ def q_twa_value(sf_dir: str):
     Σ cents·µs per partition group must stay below 2^63 (same stated
     discipline as `prefix_sums_int`; num_partitions bounds it).  ONE
     shuffle on user_id."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
     W = 3600 * 1_000_000
 
@@ -5095,8 +5056,6 @@ def q_rolling_pctrank(sf_dir: str):
     correlated-subquery oracle.  ONE shuffle on user_id; the comparison
     is on the RAW doubles (dense-ranked exactly inside the kernel), so
     sub-cent distinctions the oracle's `<=` sees are preserved."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
     width_us = 3600 * 1_000_000
 
@@ -5163,8 +5122,6 @@ def q_event_type_streak(sf_dir: str):
     (`functions/segments.py` segment kernels reused verbatim at the run
     granularity).  Integer outputs -> hash-exact.  ONE shuffle on
     user_id."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     def kernel(table: pa.Table) -> pa.Table:
@@ -5229,8 +5186,6 @@ def q_global_sliding_1h(sf_dir: str):
     Each row is shipped at most twice; the exchange key is the bucket.
     Integer counts/cents -> hash-exact vs the global RANGE frame oracle.
     """
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     _US_H = 3600 * 1_000_000
     ev = _rp(sf_dir, "events", ["event_id", "ts", "value"]).map_batches(
         _add_value_cents_i64, batch_format="pyarrow"
@@ -5362,8 +5317,6 @@ def q_rolling_rowframe_5(sf_dir: str):
     forces).  One sorted pass: lo = max(segment_start, i-4) and two
     int64 prefix-sum differences; hash-exact integers.  ONE shuffle on
     user_id."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
     def kernel(table: pa.Table) -> pa.Table:
@@ -5421,8 +5374,6 @@ def q_rolling_iqr(sf_dir: str):
     standing integer rule, and the IQR is a single subtraction of two
     exact doubles — bit-identical on both sides.  ONE shuffle on
     user_id."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
     width_us = 3600 * 1_000_000
 
@@ -5494,8 +5445,6 @@ def q_purchases_between_errors(sf_dir: str):
     subtracts the previous error's totals (fill 0 at the first error) —
     all integers, hash-exact vs the oracle's frame + lag formulation.
     ONE shuffle on user_id."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type", "value"])
 
     def kernel(table: pa.Table) -> pa.Table:
@@ -5640,7 +5589,7 @@ def q_editdist_neardup(sf_dir: str):
         "doc_id",
         max_dist=16,
         num_partitions=16,
-        coalesce=docs.count() <= _COALESCE_DOCS,
+        coalesce=fits(docs.count(), COALESCE_DOCS),
     )
 
 
@@ -5672,8 +5621,6 @@ def q_target_encode_user(sf_dir: str):
     visibility discipline as the flagship's as-of features).  ONE shuffle
     on user_id; per-partition kernel is a shifted segmented cumsum.  The
     rate is a single int/int division, bit-identical to the SQL."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     def kernel(table: pa.Table) -> pa.Table:
@@ -5724,8 +5671,6 @@ def q_orders_per_customer_hist(sf_dir: str):
     zero-order bucket is total-customers (a parquet METADATA count — no
     customer-table scan) minus customers seen in orders — the left join
     never materializes."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     orders = _rp(sf_dir, "orders", ["o_custkey"])
     n_cust = _rp(sf_dir, "customer", ["c_custkey"]).count()
 
@@ -5799,8 +5744,6 @@ def q_inverted_index(sf_dir: str):
     partials are mergeable); one keyed shuffle on term reduces
     sum/sum/min.  The exchange carries vocabulary-sized tables, not the
     corpus."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
 
     _empty = pa.table(
@@ -6013,8 +5956,6 @@ def q_ntile_value_per_type(sf_dir: str):
     rank-based).  One keyed exchange on event_type; within a partition
     group the kernel sorts by (value, event_id) and assigns tiles with
     DuckDB's exact rule — the first n % k tiles get ceil(n/k) rows."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "event_type", "value"])
     K = 4
 
@@ -6153,15 +6094,13 @@ def q_users_without_high_value(sf_dir: str):
     anti-filters with a sorted membership probe.  No shuffle carries the
     full event table; the one distinct pass happens inside the same map.
 
-    Scale gate (GRAFT_BROADCAST_ROW_CAP): the purchaser KEY SET is
+    Scale gate (`BROADCAST_ROWS`): the purchaser KEY SET is
     aggregate-sized but in principle unbounded (every user could
     purchase), so the broadcast is capped — above the cap the anti-join
     co-partitions slim distinct (user_id, has_high) pairs on user_id
     and resolves per partition, never collecting a key set on the
     driver (rehearsal-flipped hash-equal)."""
     import ray as _ray
-
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
 
     ev = _rp(sf_dir, "events", ["user_id", "value"])
 
@@ -6171,7 +6110,7 @@ def q_users_without_high_value(sf_dir: str):
         return pa.table({"user_id": pa.array(u, pa.int64())})
 
     purch = ev.map_batches(_purchasers, batch_format="pyarrow").materialize()
-    if purch.count() > _broadcast_row_cap():
+    if not fits(purch.count(), BROADCAST_ROWS):
         # at-scale plan: one shuffle of per-batch-distinct (user, flag)
         # pairs; partitions are disjoint by user so the per-partition
         # distinct IS the global distinct
@@ -6251,8 +6190,6 @@ def q_ewma_value_per_user(sf_dir: str):
     powers of two spans < 2**39 ULPs, so every partial sum is exact in
     ANY association — numpy and the SQL self-join oracle agree to the
     last bit with no quantization tricks.  One shuffle on user_id."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
     K = 20
 
@@ -6316,8 +6253,6 @@ def q_user_type_unpivot(sf_dir: str):
     The melt itself is a stateless per-batch reshape: W column arrays
     concatenated with a tiled vocabulary, no shuffle beyond the pivot's
     own slim exchange."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["user_id", "event_type"])
     vocab = np.array(_EVENT_TYPES)
 
@@ -6376,8 +6311,6 @@ def q_outlier_events_p99(sf_dir: str):
     tiny |types|-row threshold table broadcast into a stateless flag
     pass.  Two streaming passes, no row shuffle; the integer-rank
     quantile rule keeps both sides bit-identical."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "event_type", "value"])
 
     def _hist(batch: pa.Table) -> pa.Table:
@@ -6483,7 +6416,7 @@ def q_pagerank_neardup(sf_dir: str):
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
     pairs = dd.anchor_jaccard_pairs(
         docs, "text", "doc_id", threshold=0.3, num_partitions=16,
-        coalesce=docs.count() <= _COALESCE_DOCS,
+        coalesce=fits(docs.count(), COALESCE_DOCS),
     )
     return pagerank(pairs, rounds=3)
 
@@ -6512,8 +6445,6 @@ def q_cum_distinct_types(sf_dir: str):
     first-occurrence-flag + running-sum decomposition, so parity is
     exact int64).  One shuffle on user_id; the kernel is two in-partition
     lexsorts and a segmented cumsum — no per-row state."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     def kernel(table: pa.Table) -> pa.Table:
@@ -6587,7 +6518,7 @@ def q_triangle_counts_neardup(sf_dir: str):
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
     pairs = dd.anchor_jaccard_pairs(
         docs, "text", "doc_id", threshold=0.3, num_partitions=16,
-        coalesce=docs.count() <= _COALESCE_DOCS,
+        coalesce=fits(docs.count(), COALESCE_DOCS),
     )
     return triangle_counts(pairs)
 
@@ -6612,8 +6543,6 @@ def q_temporal_split_assign(sf_dir: str):
     leaks future behavior into training).  Pure integer rank rule
     ``rn > (4n)//5`` so both sides agree exactly; one shuffle on
     user_id, kernel = one in-partition lexsort + segment arithmetic."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     def kernel(table: pa.Table) -> pa.Table:
@@ -6666,8 +6595,6 @@ def q_user_tenure_features(sf_dir: str):
     user_id; first_ts, rank and the floor-divided second conversion are
     all integer ops computed inside one segment kernel (no second
     aggregate-join pass, unlike the SQL formulation)."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     def kernel(table: pa.Table) -> pa.Table:
@@ -6936,7 +6863,7 @@ def q_corpus_curation_v2(sf_dir: str):
     pairs = dd.anchor_jaccard_pairs(
         surv.select_columns(["doc_id", "text"]), "text", "doc_id",
         threshold=0.3, num_partitions=16,
-        coalesce=surv.count() <= _COALESCE_DOCS,  # surv is materialized
+        coalesce=fits(surv.count(), COALESCE_DOCS),  # surv is materialized
     )
     resolved = resolve_clusters_best(
         surv.select_columns(["doc_id", "n_chars"]), "doc_id", "n_chars", pairs
@@ -6969,14 +6896,13 @@ def q_corpus_curation_v2(sf_dir: str):
         )
 
     lose_ds = resolved.map_batches(_losers, batch_format="pyarrow").materialize()
-    if lose_ds.count() > _broadcast_row_cap():
-        # at-scale plan (GRAFT_BROADCAST_ROW_CAP, rehearsal-flipped):
+    if not fits(lose_ds.count(), BROADCAST_ROWS):
+        # at-scale plan (`BROADCAST_ROWS`, rehearsal-flipped):
         # the loser set is bounded by the duplicate-pair graph but in a
         # worst case (everything duplicated) corpus-sized, so above the
         # cap the anti-join co-partitions survivors and loser ids on
         # doc_id (loser rows carry a null-text drop marker) and chunks
         # per partition — no key set ever hits the driver
-        from multimedia_indexing_ray.stages.partition import map_partitions_by_key
 
         def _tag_lose(batch: pa.Table) -> pa.Table:
             n = batch.num_rows
@@ -7089,8 +7015,6 @@ def q_event_transition_probs(sf_dir: str):
     the exchange after the keyed pass carries transition histograms, never
     events.  p = n / row-total is one int/int double division, identical
     on both sides."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     _empty = pa.table(
@@ -7177,8 +7101,6 @@ def q_session_trigrams(sf_dir: str):
     integer trigram codes (base-K positional encoding), a <=K^3-row
     partial per partition, coalesced final sum.  Trigram strings are
     materialized only for the <=K^3 result rows."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
     _empty = pa.table(
@@ -7370,8 +7292,6 @@ def q_tfidf_top_terms(sf_dir: str):
     rows per doc via one lexsort.  The corpus text never crosses the
     wire.  Keyword-extraction analog of the BoW pipeline
     (`aggregation/BowAggregator.java:39-74` with idf weighting)."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
 
     _dfempty = pa.table(
@@ -7406,10 +7326,10 @@ def q_tfidf_top_terms(sf_dir: str):
     ).materialize()
     # open-domain corpora have UNBOUNDED vocabularies: the broadcast df
     # table is gated (same pattern as exact_jaccard_verify's
-    # max_broadcast_ids); above the cap the scoring pass co-partitions
+    # BROADCAST_IDS gate); above the cap the scoring pass co-partitions
     # (doc_id, term, tf) pairs with the df table on term instead of
     # shipping the vocabulary to the driver
-    if df_ds.count() <= _vocab_broadcast_cap():
+    if fits(df_ds.count(), VOCAB_ROWS):
         df_rows = df_ds.take_all()
         vocab = np.array(sorted(r["term"] for r in df_rows), dtype=object)
         dfmap = {r["term"]: r["df"] for r in df_rows}
@@ -7513,8 +7433,6 @@ def q_gini_by_type(sf_dir: str):
     identity is exact).  All accumulators are int64 (bounded by
     n^2*max_cents; overflow-guarded); gini itself is ONE double division
     of <2^53 integers, bit-identical to the SQL window formulation."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_type", "value"])
 
     _gempty = pa.table(
@@ -7631,8 +7549,6 @@ def q_daily_user_spend_rank(sf_dir: str):
     shuffle on day_idx and a per-partition lexsort ranks each day's
     cohort; tie rule (spend DESC, user ASC) is total, so row_number is
     deterministic on both sides."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["user_id", "ts", "event_type", "value"])
     DAY = 86_400_000_000
 
@@ -7723,8 +7639,6 @@ def q_user_session_profile(sf_dir: str):
     single kernel does sessionization AND both rollup levels with
     segment reduceats (the SQL needs two grouped subqueries); the means
     are single int/int divisions of exact sums."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     _empty = pa.table(
@@ -7834,8 +7748,6 @@ def q_churn_label_7d(sf_dir: str):
     aggregate future behavior.  One keyed shuffle; the kernel is a
     segmented lead (`seg_lead` shape) with the last row of each user
     getting the sentinel gap -1 / label TRUE."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
     WEEK = 604_800_000_000
 
@@ -7904,8 +7816,6 @@ def q_spend_trend_per_user(sf_dir: str):
     computed integers, so bit parity holds without any float-sum order
     concerns.  One shuffle on user_id; the kernel fuses the min-ts pass
     and the sums (the SQL needs a join against a grouped subquery)."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["user_id", "ts", "value"])
     HOUR = 3_600_000_000
 
@@ -8038,8 +7948,6 @@ def q_term_cooccurrence(sf_dir: str):
     needs a self-join of the exploded token table.  In-doc pair
     generation is one triu_indices per doc over the SORTED distinct
     term ids, so term_a < term_b holds by construction."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
 
     _empty = pa.table(
@@ -8185,8 +8093,6 @@ def q_bpe_pair_counts(sf_dir: str):
     partials carry the PAIR VOCABULARY (not the corpus), and one keyed
     reduce sums them.  Pair strings are materialized only for result
     rows."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     docs = _rp(sf_dir, "documents", ["text"])
 
     _empty = pa.table(
@@ -8381,8 +8287,6 @@ def q_user_feature_store(sf_dir: str):
     from the same sorted segments in a single pass (the multi-aggregate
     fusion that makes feature backfills affordable at 100 TB: each extra
     feature is one more reduceat, not one more pass or join)."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type", "value"])
     HOUR = 3_600_000_000
 
@@ -8516,8 +8420,6 @@ def q_hourly_concurrent_sessions(sf_dir: str):
     scan runs once over the tiny hour histogram.  A session that spans
     no hour mark yields +1/-1 at the same bucket and cancels, exactly as
     in the SQL."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
     HOUR = 3_600_000_000
 
@@ -8599,8 +8501,6 @@ def q_sliding_distinct_users_1h(sf_dir: str):
     distinct = window_size - duplicates.  O(n log n), zero Python loops,
     ONE shuffle on event_type; the SQL needs a correlated
     COUNT(DISTINCT) subquery per row."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
     W = 3_600_000_000
     NEG = np.int64(-(2**62))
@@ -8694,7 +8594,7 @@ def q_kcore_neardup(sf_dir: str):
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
     pairs = dd.anchor_jaccard_pairs(
         docs, "text", "doc_id", threshold=0.3, num_partitions=16,
-        coalesce=docs.count() <= _COALESCE_DOCS,
+        coalesce=fits(docs.count(), COALESCE_DOCS),
     )
     return kcore(pairs, k=2, rounds=5)
 
@@ -8777,7 +8677,7 @@ def q_lm_perplexity_docs(sf_dir: str):
     bigram table, a second tiny reduce for the prefix-marginal table,
     then a shuffle-free scoring pass (bigrams never cross document
     boundaries, so each batch scores its own docs).  Both model tables
-    are gated on `_vocab_broadcast_cap` (open-domain bigram vocabularies
+    are gated on `VOCAB_ROWS` (open-domain bigram vocabularies
     are unbounded): under the cap they broadcast once via ray.put and the
     lookup is two searchsorteds; above it the scoring pass co-partitions
     per-doc bigram counts with the model tables via two bucketed hash
@@ -8785,8 +8685,6 @@ def q_lm_perplexity_docs(sf_dir: str):
     side.  Statistical analog of the reference's learned-model scoring
     chain (model learned from the corpus, broadcast, applied per batch —
     `examples/IndexTransformation.java:61-125`)."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
 
     def _bc_partial(batch: pa.Table) -> pa.Table:
@@ -8828,7 +8726,7 @@ def q_lm_perplexity_docs(sf_dir: str):
 
     import ray as _ray
 
-    if bc_ds.count() <= _vocab_broadcast_cap():
+    if fits(bc_ds.count(), VOCAB_ROWS):
         bc_rows = bc_ds.take_all()
         uc_rows = uc_ds.take_all()
         bg_sorted = np.array(sorted(r["bg"] for r in bc_rows), dtype=object)
@@ -9027,16 +8925,13 @@ def q_dup_span_docs(sf_dir: str):
     extraction is one decode per batch plus offset arithmetic, never a
     loop per doc, gram or char.
 
-    Below `GRAFT_DUPSPAN_COALESCE_DOCS` documents (default 20k — the cap
-    is lower than `_COALESCE_DOCS` because the in-process gram table is
-    64 B/char) the two keyed exchanges' fixed cost dwarfs the kernels, so
+    At or under `DUPSPAN_DOCS` documents (20k — lower than
+    `COALESCE_DOCS` because the in-process gram table is 64 B/char) the
+    two keyed exchanges' fixed cost dwarfs the kernels, so
     the IDENTICAL kernels run once in-process (the gate reads a
     metadata-only row count; the distributed plan is the same code and is
     flipped on in the scale rehearsal)."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
-    coalesce_cap = int(os.environ.get("GRAFT_DUPSPAN_COALESCE_DOCS", "20000"))
     K = _GRAM_CHARS
 
     def _grams(batch: pa.Table) -> pa.Table:
@@ -9111,7 +9006,7 @@ def q_dup_span_docs(sf_dir: str):
             }
         )
 
-    if docs.count() <= coalesce_cap:
+    if fits(docs.count(), DUPSPAN_DOCS):
         # one in-process pass over the whole (small) corpus — every gram
         # and every doc is trivially "co-located", so the exchange-plan
         # kernels apply unchanged
@@ -9167,13 +9062,10 @@ def q_dup_span_scrub(sf_dir: str):
     The scrub is one diff-array coverage mask (bincount + cumsum) over
     the partition's one codepoint array and one re-encode of the kept
     codepoints — never a loop per doc or char.  Coalesce gate identical
-    to dup_span_docs (`GRAFT_DUPSPAN_COALESCE_DOCS`, metadata-only row
-    count); the distributed plan is the same code, flipped in the scale
+    to dup_span_docs (`DUPSPAN_DOCS`, metadata-only row count); the
+    distributed plan is the same code, flipped in the scale
     rehearsal."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
-    coalesce_cap = int(os.environ.get("GRAFT_DUPSPAN_COALESCE_DOCS", "20000"))
     K = _GRAM_CHARS
 
     def _grams(batch: pa.Table) -> pa.Table:
@@ -9246,7 +9138,7 @@ def q_dup_span_scrub(sf_dir: str):
             }
         )
 
-    if docs.count() <= coalesce_cap:
+    if fits(docs.count(), DUPSPAN_DOCS):
         t = _pq(sf_dir, "documents", ["doc_id", "text"])
         return _scrub(pa.concat_tables([_doc_rows(t), _hit_rows(_grams(t))]))
 
@@ -9315,8 +9207,6 @@ def q_dsir_importance_docs(sf_dir: str):
     (K7's pattern) with the winner id-set broadcast for the flag column.
     Scored rows materialize once (slim int64 columns, no text) because
     the flag pass re-reads them."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key  # noqa: F401
-
     docs = _rp(sf_dir, "documents", ["doc_id", "text", "lang"])
     B, K = _DSIR_BUCKETS, _DSIR_TOP_K
 
@@ -9483,8 +9373,6 @@ def q_bm25_top_docs(sf_dir: str):
     final top-20 is per-block partial top-k -> one-block merge (K7).
     Retrieval analog of the exhaustive-search ranking chain
     (`visual/datastructures/Linear.java` top-k ordering invariants)."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
     Q, K = _BM25_QTERMS, _BM25_TOP_K
 
@@ -9659,8 +9547,6 @@ def q_small_quantity_parts(sf_dir: str):
     threshold compare is exact integer math (5*q*n_li < sum_qty —
     quantities are integral doubles <= 50, counts bound the product far
     below 2^63), so no float average ever exists on either engine."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     li = _rp(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"])
 
     def _slim(batch: pa.Table) -> pa.Table:
@@ -9760,8 +9646,6 @@ def q_session_day_split(sf_dir: str):
     day counts — the fan-out is bounded by session DURATION in days (a
     gap-bounded chain), never by event count, so the expansion cannot
     amplify a hot user's row count."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     DAY = 86_400_000_000
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
 
@@ -9848,8 +9732,6 @@ def q_type_diversity_per_user(sf_dir: str):
     Physical plan: per-batch (user, type) count partials (the combiner
     bounds exchange volume by distinct pairs, not rows), one keyed
     exchange on user_id, segmented reduceat finish."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["user_id", "event_type"])
 
     def _partials(batch: pa.Table) -> pa.Table:
@@ -9927,159 +9809,101 @@ def q_daily_purchase_error_join(sf_dir: str):
     feature table build needs when joining independently-aggregated
     signals.
 
-    Physical plan (default, `GRAFT_FULLJOIN_FUSED=1`): because both sides
-    key on the SAME entity, the two aggregations and the outer alignment
-    fuse into ONE keyed exchange — a single events pass emits kind-tagged
-    (user, day, kind, n, cents) combiner partials, and the per-partition
-    finish pivots each (user, day) group's kinds into null-padded side
-    columns.  `GRAFT_FULLJOIN_FUSED=0` flips to the general plan — each
-    side finishes separately and `hash_join(join_type="full outer")`
-    null-pads per bucket (Arrow coalesces keys exactly like the SQL
-    COALESCE pair); the scale rehearsal proves both plans bit-identical.
-    The fused plan is strictly better at every scale HERE only because
-    the sides share a partitioner key; the hash_join path is the operator
-    a cross-entity outer join needs."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
+    Physical plan: because both sides key on the SAME entity, the two
+    aggregations and the outer alignment fuse into ONE keyed exchange —
+    a single events pass emits kind-tagged (user, day, kind, n, cents)
+    combiner partials, and the per-partition finish pivots each
+    (user, day) group's kinds into null-padded side columns.  A
+    cross-entity outer join, whose sides do not share a partitioner key,
+    needs `hash_join(join_type="full outer")` instead."""
     DAY = 86_400_000_000
-    fused = os.environ.get("GRAFT_FULLJOIN_FUSED", "1") != "0"
     ev = _rp(sf_dir, "events", ["user_id", "ts", "event_type", "value"])
 
-    if fused:
-        _P_EMPTY = pa.table(
+    _P_EMPTY = pa.table(
+        {
+            "user_id": pa.array([], pa.int64()),
+            "day_us": pa.array([], pa.int64()),
+            "kind": pa.array([], pa.int64()),
+            "n": pa.array([], pa.int64()),
+            "cents": pa.array([], pa.int64()),
+        }
+    )
+
+    def _tagged_partials(batch: pa.Table) -> pa.Table:
+        et = batch["event_type"]
+        m = pc.or_(pc.equal(et, "purchase"), pc.equal(et, "error"))
+        b = batch.filter(m)
+        if b.num_rows == 0:
+            return _P_EMPTY
+        ts = b["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
+        kind = pc.equal(b["event_type"], "error").to_numpy(zero_copy_only=False).astype(np.int64)
+        cents = _cents(b["value"].to_numpy(zero_copy_only=False)).astype(np.int64)
+        t = pa.table(
             {
-                "user_id": pa.array([], pa.int64()),
-                "day_us": pa.array([], pa.int64()),
-                "kind": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-                "cents": pa.array([], pa.int64()),
-            }
-        )
-
-        def _tagged_partials(batch: pa.Table) -> pa.Table:
-            et = batch["event_type"]
-            m = pc.or_(pc.equal(et, "purchase"), pc.equal(et, "error"))
-            b = batch.filter(m)
-            if b.num_rows == 0:
-                return _P_EMPTY
-            ts = b["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
-            kind = pc.equal(b["event_type"], "error").to_numpy(zero_copy_only=False).astype(np.int64)
-            cents = _cents(b["value"].to_numpy(zero_copy_only=False)).astype(np.int64)
-            t = pa.table(
-                {
-                    "user_id": b["user_id"],
-                    "day_us": pa.array(ts // DAY * DAY, pa.int64()),
-                    "kind": pa.array(kind, pa.int64()),
-                    "n": pa.array(np.ones(b.num_rows, np.int64), pa.int64()),
-                    # errors carry no spend; zeroing keeps one partial schema
-                    "cents": pa.array(np.where(kind == 1, 0, cents), pa.int64()),
-                }
-            )
-            return _pa_group_sum(t, ["user_id", "day_us", "kind"], ["n", "cents"])
-
-        _J_EMPTY = pa.table(
-            {
-                "user_id": pa.array([], pa.int64()),
-                "day_us": pa.array([], pa.int64()),
-                "purchase_cents": pa.array([], pa.int64()),
-                "n_purchases": pa.array([], pa.int64()),
-                "n_errors": pa.array([], pa.int64()),
-            }
-        )
-
-        def _align(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0:
-                return _J_EMPTY
-            g = _pa_group_sum(t, ["user_id", "day_us", "kind"], ["n", "cents"])
-            u = g["user_id"].to_numpy(zero_copy_only=False)
-            d = g["day_us"].to_numpy(zero_copy_only=False)
-            k = g["kind"].to_numpy(zero_copy_only=False)
-            n = g["n"].to_numpy(zero_copy_only=False)
-            c = g["cents"].to_numpy(zero_copy_only=False)
-            order = np.lexsort((k, d, u))
-            u, d, k, n, c = u[order], d[order], k[order], n[order], c[order]
-            new = np.empty(len(u), bool)
-            new[0] = True
-            new[1:] = (u[1:] != u[:-1]) | (d[1:] != d[:-1])
-            seg = np.cumsum(new) - 1
-            m = int(seg[-1]) + 1
-            starts = np.flatnonzero(new)
-            pc_out = np.zeros(m, np.int64)
-            np_out = np.zeros(m, np.int64)
-            ne_out = np.zeros(m, np.int64)
-            has_p = np.zeros(m, bool)
-            has_e = np.zeros(m, bool)
-            pm = k == 0
-            pc_out[seg[pm]] = c[pm]
-            np_out[seg[pm]] = n[pm]
-            has_p[seg[pm]] = True
-            em = k == 1
-            ne_out[seg[em]] = n[em]
-            has_e[seg[em]] = True
-            return pa.table(
-                {
-                    "user_id": pa.array(u[starts], pa.int64()),
-                    "day_us": pa.array(d[starts], pa.int64()),
-                    "purchase_cents": pa.array(pc_out, pa.int64(), mask=~has_p),
-                    "n_purchases": pa.array(np_out, pa.int64(), mask=~has_p),
-                    "n_errors": pa.array(ne_out, pa.int64(), mask=~has_e),
-                }
-            )
-
-        return map_partitions_by_key(
-            ev.map_batches(_tagged_partials, batch_format="pyarrow"),
-            "user_id",
-            _align,
-            num_partitions=16,
-        )
-
-    def _partials(etype: str, with_cents: bool):
-        def _fn(batch: pa.Table) -> pa.Table:
-            m = pc.equal(batch["event_type"], etype)
-            b = batch.filter(m)
-            ts = b["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
-            cols = {
                 "user_id": b["user_id"],
                 "day_us": pa.array(ts // DAY * DAY, pa.int64()),
+                "kind": pa.array(kind, pa.int64()),
                 "n": pa.array(np.ones(b.num_rows, np.int64), pa.int64()),
+                # errors carry no spend; zeroing keeps one partial schema
+                "cents": pa.array(np.where(kind == 1, 0, cents), pa.int64()),
             }
-            if with_cents:
-                cols["cents"] = pa.array(
-                    _cents(b["value"].to_numpy(zero_copy_only=False)).astype(np.int64),
-                    pa.int64(),
-                )
-            t = pa.table(cols)
-            return _pa_group_sum(
-                t, ["user_id", "day_us"], ["n", "cents"] if with_cents else ["n"]
-            )
+        )
+        return _pa_group_sum(t, ["user_id", "day_us", "kind"], ["n", "cents"])
 
-        return _fn
-
-    def _finish(sum_cols: "list[str]", out_names: "list[str]"):
-        def _fn(t: pa.Table) -> pa.Table:
-            g = _pa_group_sum(t, ["user_id", "day_us"], sum_cols)
-            cols = {"user_id": g["user_id"], "day_us": g["day_us"]}
-            for src, dst in zip(sum_cols, out_names):
-                cols[dst] = g[src]
-            return pa.table(cols)
-
-        return _fn
-
-    purch = map_partitions_by_key(
-        ev.map_batches(_partials("purchase", True), batch_format="pyarrow"),
-        "user_id",
-        _finish(["cents", "n"], ["purchase_cents", "n_purchases"]),
-        num_partitions=8,
+    _J_EMPTY = pa.table(
+        {
+            "user_id": pa.array([], pa.int64()),
+            "day_us": pa.array([], pa.int64()),
+            "purchase_cents": pa.array([], pa.int64()),
+            "n_purchases": pa.array([], pa.int64()),
+            "n_errors": pa.array([], pa.int64()),
+        }
     )
-    err = map_partitions_by_key(
-        ev.map_batches(_partials("error", False), batch_format="pyarrow"),
+
+    def _align(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return _J_EMPTY
+        g = _pa_group_sum(t, ["user_id", "day_us", "kind"], ["n", "cents"])
+        u = g["user_id"].to_numpy(zero_copy_only=False)
+        d = g["day_us"].to_numpy(zero_copy_only=False)
+        k = g["kind"].to_numpy(zero_copy_only=False)
+        n = g["n"].to_numpy(zero_copy_only=False)
+        c = g["cents"].to_numpy(zero_copy_only=False)
+        order = np.lexsort((k, d, u))
+        u, d, k, n, c = u[order], d[order], k[order], n[order], c[order]
+        new = np.empty(len(u), bool)
+        new[0] = True
+        new[1:] = (u[1:] != u[:-1]) | (d[1:] != d[:-1])
+        seg = np.cumsum(new) - 1
+        m = int(seg[-1]) + 1
+        starts = np.flatnonzero(new)
+        pc_out = np.zeros(m, np.int64)
+        np_out = np.zeros(m, np.int64)
+        ne_out = np.zeros(m, np.int64)
+        has_p = np.zeros(m, bool)
+        has_e = np.zeros(m, bool)
+        pm = k == 0
+        pc_out[seg[pm]] = c[pm]
+        np_out[seg[pm]] = n[pm]
+        has_p[seg[pm]] = True
+        em = k == 1
+        ne_out[seg[em]] = n[em]
+        has_e[seg[em]] = True
+        return pa.table(
+            {
+                "user_id": pa.array(u[starts], pa.int64()),
+                "day_us": pa.array(d[starts], pa.int64()),
+                "purchase_cents": pa.array(pc_out, pa.int64(), mask=~has_p),
+                "n_purchases": pa.array(np_out, pa.int64(), mask=~has_p),
+                "n_errors": pa.array(ne_out, pa.int64(), mask=~has_e),
+            }
+        )
+
+    return map_partitions_by_key(
+        ev.map_batches(_tagged_partials, batch_format="pyarrow"),
         "user_id",
-        _finish(["n"], ["n_errors"]),
-        num_partitions=8,
-    )
-    return hash_join(
-        purch, err, left_on=["user_id", "day_us"],
-        join_type="full outer", num_partitions=16,
+        _align,
+        num_partitions=16,
     )
 
 
@@ -10111,7 +9935,6 @@ def q_quantile_sketch_conformance(sf_dir: str):
     the ANN recall-vs-exact conformance trio).  A wrong merge or a
     violated bound hashes red."""
     from multimedia_indexing_ray.functions import qsketch as qs
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
 
     K = 512
     Q_MILLI = np.array([100, 250, 500, 750, 900], np.int64)
@@ -10368,8 +10191,6 @@ def q_chi2_term_lang(sf_dir: str):
     double with the IDENTICAL operation tree on both engines
     (t = a*d - b*c; chi2 = (n * (t*t)) / ((df*(n-df)) * (nl*(n-nl)))),
     so results are bit-equal; ties rank by term ascending."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
 
     _empty_part = pa.table(
@@ -10628,8 +10449,6 @@ def q_semdedup_docs(sf_dir: str):
     paper uses k ~ sqrt(n)) so b stays bounded; the deterministic-8
     clustering here is the oracle-checkable stand-in for the learned
     k-means router the ivf_* queries exercise."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     embs = _rp(sf_dir, "embeddings", ["vec_id", "embedding"])
     import ray as _ray
 
@@ -10866,8 +10685,6 @@ def q_mad_outlier_per_type(sf_dir: str):
     numpy — no second pass, no broadcast.  Oracle: DuckDB quantile_disc
     picks the lower middle and -quantile_disc(-x) the upper, giving the
     same exact lo+hi pairs."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["event_type", "value"])
 
     _empty = pa.table(
@@ -10953,7 +10770,7 @@ def q_labelprop_neardup(sf_dir: str):
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
     pairs = dd.anchor_jaccard_pairs(
         docs, "text", "doc_id", threshold=0.3, num_partitions=16,
-        coalesce=docs.count() <= _COALESCE_DOCS,
+        coalesce=fits(docs.count(), COALESCE_DOCS),
     )
     return label_propagation(pairs, rounds=4)
 
@@ -11096,8 +10913,6 @@ def q_tv_drift_by_type(sf_dir: str):
     for negative cents; DuckDB's `//` truncates) — through one
     event_type-keyed exchange of AGGREGATE-sized rows; the finish is
     a segmented reduceat per type.  The raw data never re-shuffles."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     DAY_US = 86_400_000_000
 
     _mm_empty = pa.table(
@@ -11233,7 +11048,6 @@ def q_mutual_knn_pairs(sf_dir: str):
     import ray as _ray
 
     from multimedia_indexing_ray.stages.knn import _batch_matrix, _unit, topk_rows
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
 
     emb = _rp(sf_dir, "embeddings", ["vec_id", "embedding"])
 
@@ -11376,8 +11190,6 @@ def q_snapshot_diff(sf_dir: str):
     co-locates the <=2 rows per key; the per-partition kernel is a
     lexsort + segment-boundary compare (no per-row Python).  The diff
     output is proportional to the churn, not the table."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     def _snap(side: int, keep_mod: int):
         def _fn(batch: pa.Table) -> pa.Table:
             ids = batch["event_id"].to_numpy()
@@ -11664,8 +11476,6 @@ def q_new_user_rate_daily(sf_dir: str):
     key's MIN day, and emits (day, n, n_new) partials; the finish is a
     `_tiny_group_sum` over the O(days) rows plus one exact division.
     The raw event rows never shuffle."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     DAY_US = 86_400_000_000
 
     def _pairs(batch: pa.Table) -> pa.Table:
@@ -11748,8 +11558,6 @@ def q_key_skew_report(sf_dir: str):
     length(bin(cnt))-1.  Plan: per-batch (user, partial-count)
     combiner -> ONE user-keyed exchange summing true per-key counts ->
     per-partition bucket partials (sum/sum/max) -> one tiny merge."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     def _partial(batch: pa.Table) -> pa.Table:
         t = pa.table(
             {
@@ -12133,8 +11941,6 @@ def q_nucleus_select_docs(sf_dir: str):
     doc_id-ordered prefix spends the remaining budget.  Equivalent to
     the full (quality desc, doc_id) scan, but the only ordered work is
     the boundary sliver."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     docs = _rp(sf_dir, "documents", ["doc_id", "source", "text"])
 
     def _feat(batch: pa.Table) -> pa.Table:
@@ -12483,7 +12289,6 @@ def q_debounce_events(sf_dir: str):
     frontier.  Ties at the same microsecond: only the min event_id can
     be kept (any W > 0 suppresses its same-instant peers)."""
     from multimedia_indexing_ray.functions.packing import debounce_frontier
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
 
     W_US = 1_800_000_000
 
@@ -12530,8 +12335,6 @@ def q_group_sample_k(sf_dir: str):
 
     Plan: per-batch segmented partial top-3 -> one user-keyed exchange
     of the slim survivors -> final segmented top-3 per key."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     def _topk(t: pa.Table) -> pa.Table:
         uid = t["user_id"].to_numpy()
         eid = t["event_id"].to_numpy()
@@ -12597,8 +12400,6 @@ def q_time_in_state_by_type(sf_dir: str):
     exchange of slim (ts, event_id, type) rows; the partition kernel
     computes next-ts per row with a shifted compare (vectorized), then
     per-type int64 partials -> tiny merge."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     _part_schema = pa.schema(
         [("event_type", pa.string()), ("dwell_us", pa.int64()),
          ("n", pa.int64())]
@@ -12782,8 +12583,6 @@ def q_late_supplier_blame(sf_dir: str):
     any_late, then order -> (nsupp, nlate), and emits qualifying
     suppkey count partials; supplier names decorate via the broadcast
     dim join (J1).  No self-join materializes."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     SIXTY_D_US = 60 * 86_400_000_000
 
     ords = _rp(sf_dir, "orders", ["o_orderkey", "o_orderstatus", "o_orderdate"])
@@ -12925,8 +12724,6 @@ def q_fk_integrity_audit(sf_dir: str):
     partials; the finish merges a 6-row table.  This is the audit the
     `late_supplier_blame` / `region_revenue` join plans assume clean.
     """
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ords = _rp(sf_dir, "orders", ["o_orderkey"])
     li = _rp(sf_dir, "lineitem", ["l_orderkey"])
 
@@ -13038,8 +12835,6 @@ def q_window_funnel_levels(sf_dir: str):
     rows, next-purchase-after for those clicks; same-microsecond peers
     are excluded by the sort priority (purchase < click < signup at
     equal ts), which is exactly the oracle's strict `>`."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     W_US = 3 * 86_400_000_000
     _PRIO = {"purchase": 0, "click": 1, "signup": 2}
 
@@ -13228,8 +13023,6 @@ def q_source_overlap_matrix(sf_dir: str):
     with a vectorized within-segment triangle (`_pairs_within_segments`
     — no per-gram loop; pairs per gram <= |sources|^2) -> tiny
     (src_a, src_b) sum."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     K = _GRAM_CHARS
 
     def _gram_src(batch: pa.Table) -> pa.Table:
@@ -13333,8 +13126,6 @@ def q_time_to_purchase_by_cohort(sf_dir: str):
     (no per-user loop); exchange 2 on cohort_week computes the exact
     integer median per cohort (`mad_outlier_per_type`'s nested-median
     shape) plus the counts; one final double division."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     WEEK_US = 604_800_000_000
 
     def _slim(batch: pa.Table) -> pa.Table:
@@ -13471,8 +13262,6 @@ def q_shingle_novelty_docs(sf_dir: str):
     owner is the segment head) and emits (doc, 1, is_first) partials;
     a second doc-keyed exchange sums them.  Both exchanges carry slim
     fixed-width rows only."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     K = _GRAM_CHARS
 
     def _gram_doc(batch: pa.Table) -> pa.Table:
@@ -13715,8 +13504,6 @@ def q_dense_user_ids(sf_dir: str):
     skew on pathological key distributions — the offsets stay exact,
     only bucket balance suffers; swap the boundary source for
     `range_partition_plan`'s equi-depth cuts in that regime.)"""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ev = _rp(sf_dir, "events", ["user_id"])
 
     mm = (
@@ -13850,8 +13637,6 @@ def q_dataset_card_by_source_lang(sf_dir: str):
     (source, lang) partial sums inside the same kernel, so nothing
     text-sized leaves it; the finish is a `_tiny_group_sum` plus two
     exact divisions."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     docs = _rp(sf_dir, "documents", ["doc_id", "source", "lang", "text"])
 
     _dup_schema = pa.schema(
@@ -13950,8 +13735,6 @@ def q_order_total_reconciliation(sf_dir: str):
     their total; ONE orderkey exchange co-locates them; per-key
     reconciliation reduces to 5-int partials merged in one tiny
     block."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     ords = _rp(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
     li = _rp(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice"])
 
@@ -14078,8 +13861,6 @@ def q_dau_wau_stickiness(sf_dir: str):
     with a per-user re-dedup (the expansion never leaves the group) ->
     tiny per-day sums; days outside the observed span are trimmed with
     a 2-int min/max pass."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     DAY_US = 86_400_000_000
 
     def _pairs(batch: pa.Table) -> pa.Table:
@@ -14215,7 +13996,7 @@ def q_dup_cluster_size_hist(sf_dir: str):
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
     pairs = dd.anchor_jaccard_pairs(
         docs, "text", "doc_id", threshold=0.3, num_partitions=16,
-        coalesce=docs.count() <= _COALESCE_DOCS,
+        coalesce=fits(docs.count(), COALESCE_DOCS),
     )
     clusters = resolve_clusters(
         docs.select_columns(["doc_id"]), "doc_id", pairs, num_partitions=16
@@ -14355,8 +14136,6 @@ def q_quantile_normalize_chars(sf_dir: str):
     count) partials, one aggregate-sized cumsum broadcast, searchsorted
     lookup inside the rank kernel.  The corpus never globally sorts."""
     import ray as _ray
-
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
 
     docs = _rp(sf_dir, "documents", ["doc_id", "source", "n_chars"])
 
@@ -14517,12 +14296,10 @@ def q_oov_rate_docs(sf_dir: str):
     groups per partition) where each partition reduces its exact df
     totals to a LOCAL top-K, so the driver merges <= partitions x K
     candidate rows — the full corpus vocabulary never hits the driver
-    (the `_vocab_broadcast_cap` lesson, made unconditional); the final
+    (the `VOCAB_ROWS` gate's lesson, made unconditional); the final
     K-word vocab broadcasts via `ray.put` (bounded by K).  Pass 2 is a
     stateless per-batch membership count — the corpus never shuffles."""
     import ray as _ray
-
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
 
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
 
@@ -14857,8 +14634,6 @@ def q_session_length_hist(sf_dir: str):
     Plan: the sessionize exchange already co-locates each user's rows;
     per-partition (user, session) counts reduce to (len, n) partials
     (sessions never span partition groups), merged by one tiny sum."""
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
-
     _part_schema = pa.schema(
         [("session_len", pa.int64()), ("n_sessions", pa.int64())]
     )

@@ -33,6 +33,8 @@ import ray.data
 
 from multimedia_indexing_ray.functions import segments as sg
 from multimedia_indexing_ray.stages.partition import (
+    DRIVER_EDGES,
+    fits,
     map_partitions_by_key,
     stable_hash,
 )
@@ -129,20 +131,6 @@ def _fingerprint(edges: "ray.data.Dataset") -> tuple:
     return (n, s)
 
 
-DRIVER_EDGE_CAP = 2_000_000
-
-
-def _edge_cap(explicit) -> int:
-    """Resolve a driver_edge_cap argument: explicit value wins, else the
-    GRAFT_DRIVER_EDGE_CAP env override (the scale-rehearsal pressure
-    knob, scripts/scale_rehearsal.py), else the module default."""
-    if explicit is not None:
-        return int(explicit)
-    import os
-
-    return int(os.environ.get("GRAFT_DRIVER_EDGE_CAP", DRIVER_EDGE_CAP))
-
-
 def _compact(ds: "ray.data.Dataset", num_partitions: int) -> "ray.data.Dataset":
     """Bound and densify the block structure of a slim iteration input.
 
@@ -152,7 +140,11 @@ def _compact(ds: "ray.data.Dataset", num_partitions: int) -> "ray.data.Dataset":
     keyed exchanges of kcore forever, while the same edges compacted to
     a few dense blocks finish in seconds).  Every distributed graph
     kernel compacts its edge set ONCE before iterating; the cost is one
-    small repartition of the slim (u, v) int64 set."""
+    small repartition of the slim (u, v) int64 set.  Per-round state
+    that is unioned back into the next round (pagerank scores, label
+    propagation labels, kcore's alive set) is compacted every round:
+    the sort exchange emits one block per input block, so without it
+    the block count, and each round's task count, grows every round."""
     return ds.repartition(num_partitions).materialize()
 
 
@@ -177,18 +169,17 @@ def connected_components(
     b_col: str = "b_id",
     num_partitions: int = 8,
     max_rounds: int = 30,
-    driver_edge_cap: "int | None" = None,
 ) -> "ray.data.Dataset":
     """Star edges ``(u, root)`` for every non-root node of every
     component; root = min node id of the component.  Nodes that appear
     in no pair are absent (their cluster is themselves —
     `resolve_clusters` fills that in).
 
-    Edge sets at or under ``driver_edge_cap`` rows run the identical
-    star rounds in one in-memory loop (near-dup pair sets are usually
-    tiny relative to the corpus; per-round shuffle overhead would
-    dominate); larger sets iterate distributed.  Set the cap to 0 to
-    force the distributed path."""
+    Edge sets that fit ``DRIVER_EDGES`` rows (`partition.fits`) run the
+    identical star rounds in one in-memory loop (near-dup pair sets are
+    usually tiny relative to the corpus; per-round shuffle overhead would
+    dominate); larger sets iterate distributed.  ``GRAFT_FORCE_SCALE_PLAN=1``
+    forces the distributed path."""
 
     def _init(batch: pa.Table) -> pa.Table:
         u = batch[a_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -200,7 +191,7 @@ def connected_components(
     n_edges = edges.count()
     if n_edges == 0:
         return ray.data.from_arrow(_EDGE_SCHEMA.empty_table())
-    if n_edges <= _edge_cap(driver_edge_cap):
+    if fits(n_edges, DRIVER_EDGES):
         import ray as _ray
 
         local = pa.concat_tables(
@@ -261,7 +252,7 @@ def resolve_clusters(
 
     both = docs.map_batches(_self_edges, batch_format="pyarrow").union(stars)
     both = both.materialize()
-    if both.count() <= _edge_cap(None):
+    if fits(both.count(), DRIVER_EDGES):
         both = both.repartition(1)
         num_partitions = None  # marker: single-block path below
 
@@ -360,7 +351,7 @@ def resolve_clusters_best(
     # small corpora: collapse both fixed-cost keyed exchanges into one
     # coalesced block (same kernels, batch = everything)
     both = both.materialize()
-    small = both.count() <= _edge_cap(None)
+    small = fits(both.count(), DRIVER_EDGES)
     if small:
         assigned = both.repartition(1).map_batches(
             _attach, batch_format="pyarrow", batch_size=None
@@ -404,7 +395,6 @@ def pagerank(
     damping_num: int = 85,
     damping_den: int = 100,
     num_partitions: int = 8,
-    driver_edge_cap: "int | None" = None,
 ) -> "ray.data.Dataset":
     """Integer-quantized PageRank over a symmetrized pair graph
     (Brin & Page 1998): centrality scoring of near-duplicate / citation
@@ -422,8 +412,8 @@ def pagerank(
     Scale shape: like `connected_components` — per-round state is the
     slim (node, mass) set, each distributed round is two keyed exchanges
     of edge-sized tables (group-by-source emit contributions,
-    group-by-target sum); edge sets at or under ``driver_edge_cap`` run
-    the identical integer kernels in one in-memory loop, where per-round
+    group-by-target sum); edge sets that fit ``DRIVER_EDGES`` run the
+    identical integer kernels in one in-memory loop, where per-round
     exchange fixed costs would dominate.  Isolated nodes (no pairs) are
     absent — their score is the teleport floor by definition.
     """
@@ -443,7 +433,7 @@ def pagerank(
     if n_edges == 0:
         return ray.data.from_arrow(out_schema.empty_table())
 
-    if n_edges <= _edge_cap(driver_edge_cap):
+    if fits(n_edges, DRIVER_EDGES):
         import ray as _ray
 
         t = pa.concat_tables(
@@ -573,9 +563,9 @@ def pagerank(
         contribs = map_partitions_by_key(
             mixed, "u", _scatter, num_partitions=num_partitions
         )
-        scores = map_partitions_by_key(
+        scores = _compact(map_partitions_by_key(
             contribs, "u", _gather, num_partitions=num_partitions
-        ).materialize()
+        ), num_partitions)
 
     def _decorate(table: pa.Table) -> pa.Table:
         # final deg attach: group edges+scores once more
@@ -630,7 +620,6 @@ def label_propagation(
     b_col: str = "b_id",
     rounds: int = 4,
     num_partitions: int = 8,
-    driver_edge_cap: "int | None" = None,
 ) -> "ray.data.Dataset":
     """Synchronous label propagation (Raghavan, Albert & Kumara 2007)
     over the symmetrized near-dup pair graph — COMMUNITY detection, the
@@ -650,9 +639,9 @@ def label_propagation(
     Scale shape: identical to `pagerank` — per-round state is the slim
     (node, label) set; each distributed round is two keyed exchanges of
     edge-sized tables (group-by-source emit (neighbor, my_label)
-    messages, group-by-target mode-update); edge sets at or under
-    ``driver_edge_cap`` run the identical integer kernels in one
-    in-memory loop where per-round exchange fixed costs would dominate.
+    messages, group-by-target mode-update); edge sets that fit
+    ``DRIVER_EDGES`` run the identical integer kernels in one in-memory
+    loop where per-round exchange fixed costs would dominate.
     """
 
     def _init(batch: pa.Table) -> pa.Table:
@@ -668,7 +657,7 @@ def label_propagation(
     if n_edges == 0:
         return ray.data.from_arrow(out_schema.empty_table())
 
-    if n_edges <= _edge_cap(driver_edge_cap):
+    if fits(n_edges, DRIVER_EDGES):
         import ray as _ray
 
         t = pa.concat_tables(
@@ -773,9 +762,9 @@ def label_propagation(
         msgs = map_partitions_by_key(
             mixed, "u", _scatter, num_partitions=num_partitions
         )
-        labels = map_partitions_by_key(
+        labels = _compact(map_partitions_by_key(
             msgs, "u", _gather, num_partitions=num_partitions
-        ).materialize()
+        ), num_partitions)
 
     def _finish(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -849,7 +838,6 @@ def triangle_counts(
     a_col: str = "a_id",
     b_col: str = "b_id",
     num_partitions: int = 8,
-    driver_edge_cap: "int | None" = None,
     wedge_cap: int = 4096,
 ) -> "ray.data.Dataset":
     """Per-node triangle participation counts over the (deduplicated,
@@ -872,8 +860,8 @@ def triangle_counts(
     exchange.  Nodes with out-degree > ``wedge_cap`` are skipped with a
     logged drop (the bucket-cap discipline of the LSH stages) — a hub's
     wedge set is quadratic and such nodes are degenerate dup-cluster
-    cores, not signal.  Edge sets at or under ``driver_edge_cap`` run
-    the same kernels coalesced in one process."""
+    cores, not signal.  Edge sets that fit ``DRIVER_EDGES`` run the same
+    kernels coalesced in one process."""
     def _init(batch: pa.Table) -> pa.Table:
         u = batch[a_col].to_numpy(zero_copy_only=False).astype(np.int64)
         v = batch[b_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -886,7 +874,7 @@ def triangle_counts(
     if edges.count() == 0:
         return ray.data.from_arrow(out_schema.empty_table())
 
-    if edges.count() <= _edge_cap(driver_edge_cap):
+    if fits(edges.count(), DRIVER_EDGES):
         import ray as _ray
 
         t = pa.concat_tables(
@@ -985,7 +973,6 @@ def kcore(
     k: int = 2,
     rounds: int = 5,
     num_partitions: int = 8,
-    driver_edge_cap: "int | None" = None,
 ) -> "ray.data.Dataset":
     """R-round k-core peeling over a symmetrized pair graph (Seidman
     1983): iteratively drop nodes with degree < k in the surviving
@@ -999,7 +986,7 @@ def kcore(
     final surviving subgraph.  Scale shape: per-round state is the slim
     alive-node set; a distributed round is two keyed semi-joins (filter
     edges by alive u, then alive v) plus one degree group-by; edge sets
-    at or under ``driver_edge_cap`` run the identical peel in-memory."""
+    that fit ``DRIVER_EDGES`` run the identical peel in-memory."""
 
     def _init(batch: pa.Table) -> pa.Table:
         u = batch[a_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1014,7 +1001,7 @@ def kcore(
     if n_edges == 0:
         return ray.data.from_arrow(out_schema.empty_table())
 
-    if n_edges <= _edge_cap(driver_edge_cap):
+    if fits(n_edges, DRIVER_EDGES):
         import ray as _ray
 
         t = pa.concat_tables(
@@ -1127,9 +1114,9 @@ def kcore(
 
     for _ in range(rounds):
         live_edges = _semi(_semi(edges, "u"), "v")
-        alive = map_partitions_by_key(
+        alive = _compact(map_partitions_by_key(
             live_edges, "u", _deg_alive, num_partitions=num_partitions
-        ).materialize()
+        ), num_partitions)
 
     final_edges = _semi(_semi(edges, "u"), "v")
 

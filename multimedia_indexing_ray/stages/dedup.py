@@ -15,7 +15,6 @@ shuffle instead of text wherever possible.
 from __future__ import annotations
 
 import logging
-import os
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +27,10 @@ import ray.data
 from multimedia_indexing_ray.functions import text as tx
 from multimedia_indexing_ray.stages.knn import _batch_matrix, _unit
 from multimedia_indexing_ray.stages.partition import (
+    BROADCAST_IDS,
     DEFAULT_NUM_PARTITIONS,
+    PAIR_COALESCE_ROWS,
+    fits,
     map_partitions_by_key,
     stable_hash,
 )
@@ -227,18 +229,15 @@ def _first_per_pair_block(batch: pa.Table, value_col: str) -> pa.Table:
 
 
 def _dedup_pairs(
-    pairs: "ray.data.Dataset", value_col: str, num_partitions: int,
-    coalesce_cap: "int | None" = None,
+    pairs: "ray.data.Dataset", value_col: str, num_partitions: int
 ) -> "ray.data.Dataset":
     """Cross-band/bucket pair dedup (first row per (a_id, b_id) ordered
     by value_col).  Candidate sets are normally tiny relative to the
     corpus and a keyed exchange costs ~1-2s of fixed sort overhead, so
-    small sets dedup in ONE coalesced block; the distributed first-per-
-    key path remains for sets over the cap."""
-    if coalesce_cap is None:
-        coalesce_cap = int(os.environ.get("GRAFT_PAIR_COALESCE_CAP", "2000000"))
+    sets that fit ``PAIR_COALESCE_ROWS`` dedup in ONE coalesced block; the
+    distributed first-per-key path remains for larger sets."""
     pairs = pairs.materialize()
-    if pairs.count() <= coalesce_cap:
+    if fits(pairs.count(), PAIR_COALESCE_ROWS):
         return pairs.repartition(1).map_batches(
             lambda b: _first_per_pair_block(b, value_col),
             batch_format="pyarrow",
@@ -345,15 +344,14 @@ def exact_jaccard_verify(
     shingle_k: int = 3,
     threshold: float = 0.8,
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
-    max_broadcast_ids: "int | None" = None,
 ) -> "ray.data.Dataset":
     """EXACT-Jaccard verification of candidate pairs (a_id, b_id) against
     the corpus — the standard second stage after MinHash-LSH candidate
     generation, so the final pair set is oracle-checkable (all-pairs SQL)
     while only O(candidates) shingle sets ever move.
 
-    When the candidate id set is small (<= ``max_broadcast_ids``, the
-    normal dedup case: candidates << corpus) it is broadcast as an
+    When the candidate id set fits ``BROADCAST_IDS`` (the normal dedup
+    case: candidates << corpus) it is broadcast as an
     ``is_in`` filter so only candidate docs are even SHINGLED; otherwise
     every doc is shingled and the join prunes (same result).
 
@@ -361,13 +359,9 @@ def exact_jaccard_verify(
     co-partition on doc id to attach each side's set; (2) sides
     co-partition on the pair key to compute |a∩b| / |a∪b| exactly.
     Never ships text."""
-    if max_broadcast_ids is None:
-        # GRAFT_MAX_BROADCAST_IDS: the scale-rehearsal pressure knob
-        # (scripts/scale_rehearsal.py forces the distributed verify)
-        max_broadcast_ids = int(os.environ.get("GRAFT_MAX_BROADCAST_IDS", "5000000"))
     pairs = pairs.materialize()  # consumed twice (id broadcast + melt)
     n_pairs = pairs.count()
-    if 2 * n_pairs <= max_broadcast_ids:
+    if fits(2 * n_pairs, BROADCAST_IDS):
         import pyarrow.compute as _pc
 
         # one verify row per DISTINCT candidate pair (LSH generators can

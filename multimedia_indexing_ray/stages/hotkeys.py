@@ -43,6 +43,12 @@ import pyarrow.compute as pc
 import ray.data
 
 from multimedia_indexing_ray.specs import FeatureSpecs
+from multimedia_indexing_ray.stages.partition import (
+    FUSED_PRE_ROWS,
+    HOT_DETAIL_ROWS,
+    fits,
+    map_partitions_by_key,
+)
 
 CHUNK_COL = "__chunk"
 EMIT_COL = "__emit"
@@ -241,18 +247,6 @@ def _conv_plan(
     )
 
 
-def _hot_detail_row_cap() -> int:
-    """Row cap for the driver-side detail pass (GRAFT_HOT_DETAIL_ROW_CAP
-    env — scale-rehearsal pressure knob).  Below it the hot rows' slim
-    (key, ts, turn_idx) view is a driver pandas pass; above it each hot
-    conversation is co-partitioned to ONE worker which computes its
-    chunk plan locally and ships back only the (tiny) boundary arrays —
-    the driver never holds a hot conversation's rows."""
-    import os
-
-    return int(os.environ.get("GRAFT_HOT_DETAIL_ROW_CAP", "5000000"))
-
-
 @ray.remote(num_cpus=0)
 class _SketchAccumulator:
     """Shared Misra-Gries merge state for the fused prefeature pass —
@@ -282,7 +276,6 @@ def fused_prefeature_and_plan(
     key: str = "conv_id",
     on: str = "ts",
     sketch_counters: int = 4096,
-    persist_cap: "int | None" = None,
 ) -> "tuple[ray.data.Dataset, SplitPlan, float]":
     """ONE prefeaturize scan that side-accumulates the hot-key sketch —
     returns ``(pre_materialized, plan, plan_marginal_sec)``.
@@ -292,7 +285,7 @@ def fused_prefeature_and_plan(
     batch) makes the split plan's MARGINAL cost just the in-memory
     detail pass over the materialized pre view — no extra input scans.
 
-    Gated on ``GRAFT_FUSED_PRE_CAP`` (default 100M rows): above the cap
+    Gated on ``FUSED_PRE_ROWS`` (`partition.fits`, 100M rows): above it
     the pre view would pin too much of the object store, so the builder
     falls back to the streaming two-scan ``build_split_plan`` and a lazy
     (unmaterialized) prefeature dataset.
@@ -300,13 +293,10 @@ def fused_prefeature_and_plan(
     Task retries can double-add partials; over-counting only WIDENS the
     candidate superset, and the detail pass verifies with exact per-conv
     row counts, so retried tasks cost extra work, never wrong plans."""
-    import os
     import time as _time
 
     from multimedia_indexing_ray.stages.features import prefeaturize
 
-    if persist_cap is None:
-        persist_cap = int(os.environ.get("GRAFT_FUSED_PRE_CAP", "100000000"))
     # metadata-only count for parquet/arrow-backed inputs; a TRANSFORMED
     # input has no free count and ds.count() would execute the upstream
     # pipeline once just to decide the gate (review-found double-scan) —
@@ -318,7 +308,7 @@ def fused_prefeature_and_plan(
     except Exception:
         pass
     n_rows = meta_rows if meta_rows is not None else 0
-    if n_rows > persist_cap:
+    if not fits(n_rows, FUSED_PRE_ROWS):
         t0 = _time.perf_counter()
         plan = build_split_plan(
             ds, specs, hot_threshold=hot_threshold,
@@ -414,7 +404,9 @@ def _plan_from_slim(
     hot_ds = (
         slim.map_batches(_filter_hot, batch_format="pyarrow").materialize()
     )
-    if hot_ds.count() <= _hot_detail_row_cap():
+    # in-process detail pass: the hot rows' slim (key, ts, turn_idx) view
+    # is one driver pandas pass
+    if fits(hot_ds.count(), HOT_DETAIL_ROWS):
         hot_df = hot_ds.to_pandas()
         hot_df["__ts"] = hot_df[on].astype("datetime64[us]").astype("int64")
         hot_df = hot_df.sort_values([key, "__ts", "turn_idx"], kind="mergesort")
@@ -435,8 +427,6 @@ def _plan_from_slim(
     # key so each hot conversation lands WHOLE in one worker, compute its
     # plan there, ship back only pickled boundary arrays (~KBs per conv)
     import pickle
-
-    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
 
     def _plan_kernel(t: pa.Table) -> pa.Table:
         df = t.to_pandas()

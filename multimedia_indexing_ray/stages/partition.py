@@ -23,6 +23,7 @@ Two shuffle strategies:
 from __future__ import annotations
 
 import logging
+import os
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,6 +40,31 @@ DEFAULT_NUM_PARTITIONS = 64
 # group's bytes approach a worker-heap-sized fraction so the operator
 # (num_partitions) can be resized BEFORE an OOM at larger scale.
 PARTITION_BYTES_WARN = 2 * 1024**3
+
+# Size gates.  At or under its cap a keyed stage runs in one process
+# (broadcast, driver-side loop or one coalesced block), where a keyed
+# exchange's fixed cost would dwarf the work; above it the stage takes
+# its keyed-exchange plan.  Every gate goes through `fits`.
+BROADCAST_ROWS = 10_000_000  # broadcast relational sides and key sets
+VOCAB_ROWS = 5_000_000  # driver-collected vocabulary / model tables
+COALESCE_DOCS = 100_000  # anchor-blocked pair generation
+DUPSPAN_DOCS = 20_000  # span-gram tables (64 B per character)
+PAIR_COALESCE_ROWS = 2_000_000  # candidate-pair dedup
+BROADCAST_IDS = 5_000_000  # candidate ids broadcast for exact verify
+DRIVER_EDGES = 2_000_000  # graph kernels' in-memory loop
+HOT_DETAIL_ROWS = 5_000_000  # hot-key detail pass on the driver
+FUSED_PRE_ROWS = 100_000_000  # materialized prefeature view
+
+
+def fits(n: int, cap: int) -> bool:
+    """True when `n` rows stay on the in-process plan under `cap`.
+
+    ``GRAFT_FORCE_SCALE_PLAN=1`` sets every cap to 0, so each non-empty
+    input takes its at-scale plan (`scripts/scale_rehearsal.py` and the
+    forced-plan tests).  It is read on every call, not at import."""
+    if os.environ.get("GRAFT_FORCE_SCALE_PLAN") == "1":
+        cap = 0
+    return n <= cap
 
 
 def stable_hash(values: np.ndarray) -> np.ndarray:

@@ -5,12 +5,11 @@ record partition-size histograms for the main keyed exchanges.
 
 Two kinds of evidence (both demanded by VERDICT r3 item 5):
 
-1. **Forced-gate equality** — every gate reads an env pressure knob
-   (GRAFT_BROADCAST_ROW_CAP, GRAFT_DRIVER_EDGE_CAP,
-   GRAFT_MAX_BROADCAST_IDS, GRAFT_MAX_VOCAB_BROADCAST,
-   GRAFT_COALESCE_DOCS, GRAFT_PAIR_COALESCE_CAP).  Each gated query runs
-   twice in FRESH subprocesses (default knobs -> fast path; knobs at 0 ->
-   the at-scale plan) and the normalized results must hash-match.
+1. **Forced-gate equality** — every size gate goes through
+   `stages.partition.fits`, and ``GRAFT_FORCE_SCALE_PLAN=1`` sets every
+   cap to 0.  Each gated query runs twice in FRESH subprocesses (switch
+   unset -> the in-process fast paths; switch on -> the at-scale plans)
+   and the normalized results must hash-match.
 2. **10x pressure run** — documents replicated 10x (exact-duplicate
    replicas: every text appears 10 times, so LSH buckets, pair sets and
    CC clusters all inflate) through minhash -> CC -> curation with
@@ -42,54 +41,33 @@ SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 # at the small SF (fast subprocesses); the 10x pressure run uses SF_DIR
 GATE_SF = os.environ.get("GRAFT_REHEARSAL_SF", "/root/testdata/sf0.01")
 
-# query -> pressure env that forces its at-scale plan
-GATED = {
-    "region_revenue": {"GRAFT_BROADCAST_ROW_CAP": "0"},
-    "shipping_priority": {"GRAFT_BROADCAST_ROW_CAP": "0"},
-    "dedup_clusters": {"GRAFT_DRIVER_EDGE_CAP": "0", "GRAFT_PAIR_COALESCE_CAP": "0",
-                       "GRAFT_COALESCE_DOCS": "0", "GRAFT_MAX_BROADCAST_IDS": "0"},
-    "kcore_neardup": {"GRAFT_DRIVER_EDGE_CAP": "0", "GRAFT_PAIR_COALESCE_CAP": "0",
-                      "GRAFT_COALESCE_DOCS": "0", "GRAFT_MAX_BROADCAST_IDS": "0"},
-    "pagerank_neardup": {"GRAFT_DRIVER_EDGE_CAP": "0", "GRAFT_PAIR_COALESCE_CAP": "0",
-                         "GRAFT_COALESCE_DOCS": "0", "GRAFT_MAX_BROADCAST_IDS": "0"},
-    "triangle_counts_neardup": {"GRAFT_DRIVER_EDGE_CAP": "0", "GRAFT_PAIR_COALESCE_CAP": "0",
-                                "GRAFT_COALESCE_DOCS": "0", "GRAFT_MAX_BROADCAST_IDS": "0"},
-    # r5i: label propagation flips from the in-memory loop to per-round
-    # scatter/mode-gather keyed exchanges (the pagerank skeleton)
-    "labelprop_neardup": {"GRAFT_DRIVER_EDGE_CAP": "0", "GRAFT_PAIR_COALESCE_CAP": "0",
-                          "GRAFT_COALESCE_DOCS": "0", "GRAFT_MAX_BROADCAST_IDS": "0"},
-    "minhash_dedup_docs": {"GRAFT_MAX_BROADCAST_IDS": "0", "GRAFT_PAIR_COALESCE_CAP": "0"},
-    "ngram_jaccard_pairs": {"GRAFT_COALESCE_DOCS": "0", "GRAFT_PAIR_COALESCE_CAP": "0"},
-    "corpus_curation_v2": {"GRAFT_DRIVER_EDGE_CAP": "0", "GRAFT_PAIR_COALESCE_CAP": "0",
-                           "GRAFT_COALESCE_DOCS": "0", "GRAFT_MAX_BROADCAST_IDS": "0",
-                           # r5: also force the loser-set anti-join onto its
-                           # co-partitioned plan (the last key-set broadcast)
-                           "GRAFT_BROADCAST_ROW_CAP": "0"},
-    "users_without_high_value": {"GRAFT_BROADCAST_ROW_CAP": "0"},
-    # r5g: ratio-to-parent flips from the zero-exchange broadcast fold to
-    # the bucketed hash-join plan (same pair as region_revenue)
-    "nation_revenue_share": {"GRAFT_BROADCAST_ROW_CAP": "0"},
-    "tfidf_top_terms": {"GRAFT_MAX_VOCAB_BROADCAST": "0"},
-    "top_term_docs": {"GRAFT_MAX_VOCAB_BROADCAST": "0"},
-    # r5c: bigram-LM model tables flip from broadcast to two bucketed
-    # hash joins + doc-keyed reduce
-    "lm_perplexity_docs": {"GRAFT_MAX_VOCAB_BROADCAST": "0"},
-    # r5e: edit-distance verify flips from in-process coalesce to the
-    # anchor-keyed exchange (texts co-located per block)
-    "editdist_neardup": {"GRAFT_COALESCE_DOCS": "0"},
-    # r5f: duplicate-span detection flips from one in-process pass to the
-    # gram-keyed + doc-keyed exchange plan
-    "dup_span_docs": {"GRAFT_DUPSPAN_COALESCE_DOCS": "0"},
-    # r5g: span REMOVAL flips the same way (gram exchange + doc-keyed
-    # text/hit exchange instead of one in-process pass)
-    "dup_span_scrub": {"GRAFT_DUPSPAN_COALESCE_DOCS": "0"},
-    # r5g: containment pairs flip from in-process coalesce to the
-    # multi-anchor keyed exchange + distributed first-per-pair dedup
-    "containment_neardup": {"GRAFT_COALESCE_DOCS": "0", "GRAFT_PAIR_COALESCE_CAP": "0"},
-    # r5f: daily outer alignment flips from the fused single-exchange plan
-    # to the general hash_join(full outer) plan
-    "daily_purchase_error_join": {"GRAFT_FULLJOIN_FUSED": "0"},
-}
+# every registry query with a size gate (found by recording each `fits`
+# call over one run of the whole registry at sf0.001: 22 of 203 call it,
+# and each of them has a gate whose input fits its cap there)
+GATED = (
+    "region_revenue",
+    "shipping_priority",
+    "nation_revenue_share",
+    "users_without_high_value",
+    "dedup_clusters",
+    "dedup_canonical_best",
+    "dup_cluster_size_hist",
+    "kcore_neardup",
+    "pagerank_neardup",
+    "triangle_counts_neardup",
+    "labelprop_neardup",
+    "minhash_dedup_docs",
+    "embedding_neardup_lsh",
+    "ngram_jaccard_pairs",
+    "containment_neardup",
+    "editdist_neardup",
+    "corpus_curation_v2",
+    "tfidf_top_terms",
+    "top_term_docs",
+    "lm_perplexity_docs",
+    "dup_span_docs",
+    "dup_span_scrub",
+)
 
 
 def _result_hash(df) -> str:
@@ -126,8 +104,9 @@ def run_one(name: str, sf_dir: str) -> None:
     ray.shutdown()
 
 
-def _spawn(name: str, sf_dir: str, extra_env: dict) -> dict:
-    env = dict(os.environ, RAY_GRAFT_CPUS=os.environ.get("RAY_GRAFT_CPUS", "16"), **extra_env)
+def _spawn(name: str, sf_dir: str, forced: bool) -> dict:
+    env = dict(os.environ, RAY_GRAFT_CPUS=os.environ.get("RAY_GRAFT_CPUS", "16"),
+               GRAFT_FORCE_SCALE_PLAN="1" if forced else "0")
     out = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--run", name, sf_dir],
         env=env, capture_output=True, text=True, check=True,
@@ -232,14 +211,13 @@ def pressure_10x(out: dict) -> None:
 
 def main() -> None:
     results = {"sf": SF_DIR, "gate_sf": GATE_SF, "gates": {}, "all_equal": True}
-    for name, forced_env in GATED.items():
-        fast = _spawn(name, GATE_SF, {})
-        slow = _spawn(name, GATE_SF, forced_env)
+    for name in GATED:
+        fast = _spawn(name, GATE_SF, False)
+        slow = _spawn(name, GATE_SF, True)
         equal = fast["hash"] == slow["hash"] and fast["rows"] == slow["rows"]
         results["gates"][name] = {
             "rows": fast["rows"], "hash_equal": equal,
             "fast_path_sec": fast["sec"], "distributed_sec": slow["sec"],
-            "forced_env": forced_env,
         }
         results["all_equal"] &= equal
         print(f"{name:28s} rows={fast['rows']:7d} equal={equal} "

@@ -33,22 +33,26 @@ def _union_find(n_nodes, pairs):
     return label
 
 
+# GRAFT_FORCE_SCALE_PLAN=1 drives every size gate onto its at-scale plan
+FORCE = "GRAFT_FORCE_SCALE_PLAN"
+
+
 def _pairs_ds(ray, pairs):
     a = pa.array([p[0] for p in pairs], pa.int64())
     b = pa.array([p[1] for p in pairs], pa.int64())
     return ray.data.from_arrow(pa.table({"a_id": a, "b_id": b})).repartition(4)
 
 
-@pytest.mark.parametrize("cap", [2_000_000, 0], ids=["local", "distributed"])
+@pytest.mark.parametrize("forced", [False, True], ids=["local", "distributed"])
 @pytest.mark.parametrize("seed,n,m", [(0, 60, 40), (1, 200, 260), (2, 500, 180)])
-def test_cc_random_vs_union_find(ray_session, seed, n, m, cap):
+def test_cc_random_vs_union_find(ray_session, monkeypatch, seed, n, m, forced):
     from multimedia_indexing_ray.stages.cc import connected_components
 
+    if forced:
+        monkeypatch.setenv(FORCE, "1")
     rng = np.random.default_rng(seed)
     pairs = [tuple(sorted(p)) for p in rng.integers(0, n, size=(m, 2)) if p[0] != p[1]]
-    stars = connected_components(
-        _pairs_ds(ray_session, pairs), driver_edge_cap=cap
-    ).take_all()
+    stars = connected_components(_pairs_ds(ray_session, pairs)).take_all()
     want = _union_find(n, pairs)
     got = {r["u"]: r["v"] for r in stars}
     for node, root in want.items():
@@ -174,9 +178,9 @@ def test_resolvers_distributed_path_matches_coalesced(ray_session, monkeypatch):
 
     def run_both(fn, *args, **kw):
         out_small = fn(*args, **kw).take_all()
-        monkeypatch.setattr(cc, "DRIVER_EDGE_CAP", 0)
+        monkeypatch.setenv(FORCE, "1")
         out_large = fn(*args, **kw).take_all()
-        monkeypatch.setattr(cc, "DRIVER_EDGE_CAP", 2_000_000)
+        monkeypatch.delenv(FORCE)
         key = lambda r: tuple(sorted(r.items()))
         assert sorted(map(key, out_small)) == sorted(map(key, out_large))
         return out_small
@@ -192,7 +196,7 @@ def test_resolvers_distributed_path_matches_coalesced(ray_session, monkeypatch):
 
 
 @pytest.mark.parametrize("seed,n,m", [(0, 40, 60), (3, 150, 300)])
-def test_pagerank_paths_agree_and_reference(ray_session, seed, n, m):
+def test_pagerank_paths_agree_and_reference(ray_session, monkeypatch, seed, n, m):
     """Distributed PageRank rounds == the coalesced integer kernel == a
     straight numpy reference of the quantized recurrence; mass sanity:
     every score >= the teleport floor and top score lands on a max-degree
@@ -205,9 +209,10 @@ def test_pagerank_paths_agree_and_reference(ray_session, seed, n, m):
     ds = _pairs_ds(ray_session, pairs)
 
     out_small = {r["doc_id"]: (r["pr_micro"], r["degree"]) for r in cc.pagerank(ds).take_all()}
+    monkeypatch.setenv(FORCE, "1")
     out_large = {
         r["doc_id"]: (r["pr_micro"], r["degree"])
-        for r in cc.pagerank(ds, driver_edge_cap=0, num_partitions=4).take_all()
+        for r in cc.pagerank(ds, num_partitions=4).take_all()
     }
     assert out_small == out_large
 
@@ -241,7 +246,7 @@ def test_pagerank_star_graph(ray_session):
 
 
 @pytest.mark.parametrize("seed,n,m", [(0, 25, 70), (5, 80, 200)])
-def test_triangle_counts_paths_vs_brute_force(ray_session, seed, n, m):
+def test_triangle_counts_paths_vs_brute_force(ray_session, monkeypatch, seed, n, m):
     from multimedia_indexing_ray.stages import cc
     import itertools
 
@@ -250,9 +255,10 @@ def test_triangle_counts_paths_vs_brute_force(ray_session, seed, n, m):
     pairs = sorted(set(raw))
     ds = _pairs_ds(ray_session, pairs)
     out_small = {r["doc_id"]: r["n_triangles"] for r in cc.triangle_counts(ds).take_all()}
+    monkeypatch.setenv(FORCE, "1")
     out_large = {
         r["doc_id"]: r["n_triangles"]
-        for r in cc.triangle_counts(ds, driver_edge_cap=0, num_partitions=4).take_all()
+        for r in cc.triangle_counts(ds, num_partitions=4).take_all()
     }
     assert out_small == out_large
     es = set(pairs)
@@ -282,7 +288,7 @@ def test_triangle_counts_wedge_cap_drops_hub(ray_session):
     assert 0 not in capped and capped[20] == 1
 
 
-def test_graph_ops_tolerate_duplicate_and_reversed_pairs(ray_session):
+def test_graph_ops_tolerate_duplicate_and_reversed_pairs(ray_session, monkeypatch):
     """Cross-block duplicate pairs and reversed orientations must not
     inflate degrees, scores, or wedge counts (the pair sets are deduped
     inside the first keyed group, where each neighborhood is whole)."""
@@ -292,15 +298,16 @@ def test_graph_ops_tolerate_duplicate_and_reversed_pairs(ray_session):
     noisy = base + [(b, a) for a, b in base] + base  # dupes + reversals
     clean_ds = _pairs_ds(ray_session, base)
     noisy_ds = _pairs_ds(ray_session, noisy)
-    for fn, kw in [
-        (cc.pagerank, {}),
-        (cc.pagerank, {"driver_edge_cap": 0, "num_partitions": 4}),
-        (cc.triangle_counts, {}),
-        (cc.triangle_counts, {"driver_edge_cap": 0, "num_partitions": 4}),
+    for fn, forced, kw in [
+        (cc.pagerank, False, {}),
+        (cc.pagerank, True, {"num_partitions": 4}),
+        (cc.triangle_counts, False, {}),
+        (cc.triangle_counts, True, {"num_partitions": 4}),
     ]:
+        monkeypatch.setenv(FORCE, "1" if forced else "0")
         a = sorted(tuple(sorted(r.items())) for r in fn(clean_ds, **kw).take_all())
         b = sorted(tuple(sorted(r.items())) for r in fn(noisy_ds, **kw).take_all())
-        assert a == b, (fn.__name__, kw)
+        assert a == b, (fn.__name__, forced)
 
 
 def test_pack64_rejects_out_of_range_ids(ray_session):
@@ -314,7 +321,7 @@ def test_pack64_rejects_out_of_range_ids(ray_session):
         triangle_counts(ds).take_all()
 
 
-def test_kcore_distributed_matches_coalesced_and_reference(ray_session):
+def test_kcore_distributed_matches_coalesced_and_reference(ray_session, monkeypatch):
     """Distributed k-core peel rounds == the coalesced kernel == a
     straight numpy reference (2 rounds: each distributed round costs
     five keyed exchanges, so the equality check keeps the round count
@@ -328,9 +335,10 @@ def test_kcore_distributed_matches_coalesced_and_reference(ray_session):
     ds = _pairs_ds(ray_session, pairs)
 
     out_small = {r["doc_id"]: r["core_degree"] for r in cc.kcore(ds, rounds=2).take_all()}
+    monkeypatch.setenv(FORCE, "1")
     out_large = {
         r["doc_id"]: r["core_degree"]
-        for r in cc.kcore(ds, rounds=2, driver_edge_cap=0, num_partitions=4).take_all()
+        for r in cc.kcore(ds, rounds=2, num_partitions=4).take_all()
     }
     assert out_small == out_large
 
@@ -362,7 +370,7 @@ def test_kcore_peels_path_keeps_triangle(ray_session):
     assert out == {0: 2, 1: 2, 2: 2}
 
 
-def test_kcore_distributed_sparse_block_input_completes(ray_session):
+def test_kcore_distributed_sparse_block_input_completes(ray_session, monkeypatch):
     """Regression for the Ray 2.49 sort-scheduler deadlock: an iterative
     union+sort pipeline fed an edge set spread over many mostly-empty
     blocks hung forever before the `_compact` step (observed live on a
@@ -378,14 +386,13 @@ def test_kcore_distributed_sparse_block_input_completes(ray_session):
     def _abort(signum, frame):
         raise TimeoutError("kcore distributed deadlocked on sparse-block input")
 
+    monkeypatch.setenv(FORCE, "1")
     old = signal.signal(signal.SIGALRM, _abort)
     signal.alarm(300)
     try:
         out = {
             r["doc_id"]: r["core_degree"]
-            for r in cc.kcore(
-                ds, k=2, rounds=1, driver_edge_cap=0, num_partitions=4
-            ).take_all()
+            for r in cc.kcore(ds, k=2, rounds=1, num_partitions=4).take_all()
         }
     finally:
         signal.alarm(0)
@@ -393,7 +400,7 @@ def test_kcore_distributed_sparse_block_input_completes(ray_session):
     assert out == {i: 2 for i in range(6)}  # two triangles, all 2-core
 
 
-def test_kcore_pendant_star_unconverged_paths_agree(ray_session):
+def test_kcore_pendant_star_unconverged_paths_agree(ray_session, monkeypatch):
     """Pendant star {0-1, 0-2} at k=2, rounds=1: the single peel kills
     the leaves, leaving the hub alive but edgeless.  BOTH paths must
     omit it (degree measured in the surviving subgraph is 0), matching
@@ -402,11 +409,28 @@ def test_kcore_pendant_star_unconverged_paths_agree(ray_session):
 
     ds = _pairs_ds(ray_session, [(0, 1), (0, 2)])
     out_coalesced = cc.kcore(ds, k=2, rounds=1).take_all()
-    out_distributed = cc.kcore(
-        ds, k=2, rounds=1, driver_edge_cap=0, num_partitions=2
-    ).take_all()
+    monkeypatch.setenv(FORCE, "1")
+    out_distributed = cc.kcore(ds, k=2, rounds=1, num_partitions=2).take_all()
     assert out_coalesced == []
     assert out_distributed == []
+
+
+@pytest.mark.parametrize("fn", ["kcore", "pagerank", "label_propagation"])
+def test_distributed_rounds_keep_block_count(ray_session, monkeypatch, fn):
+    """Each distributed round unions its state back into the next keyed
+    exchange, which emits one block per input block.  Uncompacted, the
+    state's block count (and every later round's task count) grew each
+    round; kcore's doubled.  The output's block count must not depend
+    on the number of rounds."""
+    from multimedia_indexing_ray.stages import cc
+
+    monkeypatch.setenv(FORCE, "1")
+    ds = _pairs_ds(ray_session, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)])
+    blocks = [
+        getattr(cc, fn)(ds, rounds=r, num_partitions=4).materialize().num_blocks()
+        for r in (1, 2)
+    ]
+    assert blocks[0] == blocks[1], blocks
 
 
 def _brute_labelprop(pairs, rounds):
@@ -430,18 +454,18 @@ def _brute_labelprop(pairs, rounds):
     return lbl
 
 
-@pytest.mark.parametrize("cap", [2_000_000, 0], ids=["local", "distributed"])
+@pytest.mark.parametrize("forced", [False, True], ids=["local", "distributed"])
 @pytest.mark.parametrize("seed,n,m", [(3, 40, 55), (4, 120, 150)])
-def test_label_propagation_vs_brute_force(ray_session, seed, n, m, cap):
+def test_label_propagation_vs_brute_force(ray_session, monkeypatch, seed, n, m, forced):
     from multimedia_indexing_ray.stages.cc import label_propagation
 
+    if forced:
+        monkeypatch.setenv(FORCE, "1")
     rng = np.random.default_rng(seed)
     pairs = [tuple(p) for p in rng.integers(0, n, size=(m, 2)) if p[0] != p[1]]
     got = {
         r["doc_id"]: r["community"]
-        for r in label_propagation(
-            _pairs_ds(ray_session, pairs), rounds=4, driver_edge_cap=cap
-        ).take_all()
+        for r in label_propagation(_pairs_ds(ray_session, pairs), rounds=4).take_all()
     }
     want = _brute_labelprop(pairs, 4)
     assert got == want

@@ -211,7 +211,7 @@ def test_minhash_planted_skew_bucket_completes(ray_session):
     assert all(a >= n_skew for a, _ in got)
 
 
-def test_exact_jaccard_verify_rejects_and_keeps(ray_session):
+def test_exact_jaccard_verify_rejects_and_keeps(ray_session, monkeypatch):
     """Candidates -> exact-Jaccard verify: a true near-dup pair passes
     with its EXACT jaccard value; a below-threshold candidate pair is
     rejected even though LSH proposed it."""
@@ -241,19 +241,20 @@ def test_exact_jaccard_verify_rejects_and_keeps(ray_session):
         }
     )
     # both paths: driver-side fast path and the distributed 2-shuffle path
-    for max_bcast in (5_000_000, 0):
+    for forced in ("0", "1"):
+        monkeypatch.setenv("GRAFT_FORCE_SCALE_PLAN", forced)
         out = (
             exact_jaccard_verify(
                 rd.from_arrow(cands), rd.from_arrow(docs), "text", "doc_id",
-                threshold=0.3, num_partitions=4, max_broadcast_ids=max_bcast,
+                threshold=0.3, num_partitions=4,
             )
             .to_pandas()
             .sort_values(["a_id", "b_id"])
             .reset_index(drop=True)
         )
-        assert out[["a_id", "b_id"]].values.tolist() == [[1, 2]], max_bcast
+        assert out[["a_id", "b_id"]].values.tolist() == [[1, 2]], forced
         # shingles(1): {a b g, b g d, g d e, d e z}; shingles(2): 3 shared + {d e eta}
-        assert abs(out["jaccard"][0] - 3 / 5) < 1e-15, max_bcast
+        assert abs(out["jaccard"][0] - 3 / 5) < 1e-15, forced
 
 
 def test_anchor_jaccard_mass_duplicate_anchor_skew(ray_session):
@@ -309,7 +310,7 @@ def test_anchor_jaccard_mass_duplicate_anchor_skew(ray_session):
     assert elapsed < 60  # numpy-speed, not per-pair Python set ops
 
 
-def test_exact_jaccard_verify_vectorized_matches_distributed(ray_session):
+def test_exact_jaccard_verify_vectorized_matches_distributed(ray_session, monkeypatch):
     """The chunked vectorized fast-path intersect equals the distributed
     2-shuffle path on a randomized corpus (120 docs, 300 candidate
     pairs, shared vocabulary => nontrivial intersections)."""
@@ -345,11 +346,12 @@ def test_exact_jaccard_verify_vectorized_matches_distributed(ray_session):
     outs = []
     # threshold 0 keeps every distinct pair so the two paths' EXACT
     # jaccard values (not just the surviving set) must agree row-for-row
-    for max_bcast in (5_000_000, 0):
+    for forced in ("0", "1"):
+        monkeypatch.setenv("GRAFT_FORCE_SCALE_PLAN", forced)
         out = (
             exact_jaccard_verify(
                 rd.from_arrow(cands), rd.from_arrow(docs), "text", "doc_id",
-                threshold=0.0, num_partitions=4, max_broadcast_ids=max_bcast,
+                threshold=0.0, num_partitions=4,
             )
             .to_pandas()
             .sort_values(["a_id", "b_id"])
@@ -466,7 +468,7 @@ def test_containment_brute_force_and_partition_invariance(ray_session):
             assert len(out) == len(got), (coalesce, nparts)
 
 
-def test_dup_span_scrub_planted_and_mass_conformance(ray_session, tmp_path):
+def test_dup_span_scrub_planted_and_mass_conformance(ray_session, tmp_path, monkeypatch):
     """ExactSubstr removal: a paragraph repeated across two docs must be
     cut from both; unique docs come back verbatim; and per doc
     len(clean_text) == n_kept == n_chars - dup_chars (cross-operator
@@ -502,24 +504,19 @@ def test_dup_span_scrub_planted_and_mass_conformance(ray_session, tmp_path):
         df = res.to_pandas()
         return df.sort_values("doc_id").reset_index(drop=True)
 
-    for env in ({}, {"GRAFT_DUPSPAN_COALESCE_DOCS": "0"}):
-        old = {k: os.environ.get(k) for k in env}
-        os.environ.update(env)
-        try:
-            scrub = run("dup_span_scrub")
-            span = run("dup_span_docs")
-        finally:
-            for k, v in old.items():
-                os.environ.pop(k, None) if v is None else os.environ.__setitem__(k, v)
+    for forced in ("0", "1"):
+        monkeypatch.setenv("GRAFT_FORCE_SCALE_PLAN", forced)
+        scrub = run("dup_span_scrub")
+        span = run("dup_span_docs")
         # the repeated paragraph (and the spill of overlapping grams) is
         # gone from both carriers
-        assert dup_para not in scrub.loc[0, "clean_text"], env
-        assert dup_para not in scrub.loc[1, "clean_text"], env
+        assert dup_para not in scrub.loc[0, "clean_text"], forced
+        assert dup_para not in scrub.loc[1, "clean_text"], forced
         # unique / short / empty docs intact
-        assert scrub.loc[2, "clean_text"] == texts[2], env
-        assert scrub.loc[3, "clean_text"] == "" and scrub.loc[3, "n_kept"] == 0, env
-        assert scrub.loc[4, "clean_text"] == "short", env
+        assert scrub.loc[2, "clean_text"] == texts[2], forced
+        assert scrub.loc[3, "clean_text"] == "" and scrub.loc[3, "n_kept"] == 0, forced
+        assert scrub.loc[4, "clean_text"] == "short", forced
         # n_kept == len(clean_text), and mass conformance vs dup_span_docs
-        assert (scrub["n_kept"] == scrub["clean_text"].str.len()).all(), env
+        assert (scrub["n_kept"] == scrub["clean_text"].str.len()).all(), forced
         merged = scrub.merge(span, on="doc_id")
-        assert (merged["n_kept"] == merged["n_chars"] - merged["dup_chars"]).all(), env
+        assert (merged["n_kept"] == merged["n_chars"] - merged["dup_chars"]).all(), forced

@@ -192,11 +192,11 @@ def test_nul_corpus_query_parity(ray_session, nul_dir, nul_con, name):
 def test_vocab_cap_forces_distributed_path(
     ray_session, edge_dir, edge_con, name, monkeypatch
 ):
-    """GRAFT_MAX_VOCAB_BROADCAST=0 forces the tf-idf family onto its
+    """GRAFT_FORCE_SCALE_PLAN=1 forces the tf-idf family onto its
     at-scale plan (doc-token pairs hash-joined with the df table on
     token, then a doc-keyed top-k) — it must produce the identical
     result as the broadcast fast path / SQL oracle."""
-    monkeypatch.setenv("GRAFT_MAX_VOCAB_BROADCAST", "0")
+    monkeypatch.setenv("GRAFT_FORCE_SCALE_PLAN", "1")
     import __ray_entry__ as e
 
     res = e.queries()[name](edge_dir)

@@ -167,15 +167,15 @@ def test_distributed_detail_pass_identical_plan(ray_session, monkeypatch):
     )
     t = pa.concat_tables([t, dense])
 
-    def _plan(cap):
-        monkeypatch.setenv("GRAFT_HOT_DETAIL_ROW_CAP", str(cap))
+    def _plan(forced):
+        monkeypatch.setenv("GRAFT_FORCE_SCALE_PLAN", forced)
         pre = rd.from_arrow(t).map_batches(prefeaturize, batch_format="pyarrow")
         return build_split_plan(
             pre, DEFAULT_SPECS, hot_threshold=1000, target_chunk_rows=500
         )
 
-    driver = _plan(5_000_000)
-    dist = _plan(0)
+    driver = _plan("0")
+    dist = _plan("1")
     assert sorted(driver.unsplittable) == sorted(dist.unsplittable) == ["conv-dense"]
     assert set(driver.convs) == set(dist.convs) == {"conv-hot"}
     a, b = driver.convs["conv-hot"], dist.convs["conv-hot"]
@@ -189,7 +189,7 @@ def test_distributed_detail_pass_identical_plan(ray_session, monkeypatch):
 
 def test_split_identical_to_unsplit_forced_distributed(ray_session, monkeypatch):
     """Flagship-equivalence under the forced-distributed detail pass."""
-    monkeypatch.setenv("GRAFT_HOT_DETAIL_ROW_CAP", "0")
+    monkeypatch.setenv("GRAFT_FORCE_SCALE_PLAN", "1")
     t = _hot_table()
     base = _features(ray_session, t)
     split = _features(
@@ -266,13 +266,14 @@ def test_fused_prefeature_and_plan_matches_two_scan(ray_session):
 
 
 def test_fused_above_cap_falls_back_to_streaming(ray_session, monkeypatch):
-    """Above GRAFT_FUSED_PRE_CAP the builder must not materialize: it
-    returns a lazy pre dataset and the two-scan streaming plan."""
+    """Above the fused-pre cap (forced here) the builder must not
+    materialize: it returns a lazy pre dataset and the two-scan
+    streaming plan."""
     import ray.data as rd
 
     from multimedia_indexing_ray.stages.hotkeys import fused_prefeature_and_plan
 
-    monkeypatch.setenv("GRAFT_FUSED_PRE_CAP", "0")
+    monkeypatch.setenv("GRAFT_FORCE_SCALE_PLAN", "1")
     t = _hot_table()
     ds = rd.from_arrow(t).repartition(6)
     pre, plan, sec = fused_prefeature_and_plan(

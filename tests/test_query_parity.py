@@ -43,11 +43,53 @@ def _query_names():
     return sorted(e.oracle_sql().keys())
 
 
+def _gated_names():
+    import importlib.util
+
+    path = _os.path.join(_os.path.dirname(__file__), "..", "scripts", "scale_rehearsal.py")
+    spec = importlib.util.spec_from_file_location("scale_rehearsal", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.GATED
+
+
 @pytest.mark.parametrize("name", _query_names())
 def test_query_matches_oracle(ray_session, con, name):
     import __ray_entry__ as e
 
-    mine = _normalize(_to_pandas(e.queries()[name](SF_DIR)))
+    _assert_matches_oracle(con, name, e.queries()[name](SF_DIR))
+
+
+@pytest.mark.parametrize("name", _gated_names())
+def test_forced_scale_plan_matches_oracle(ray_session, con, monkeypatch, name):
+    """GRAFT_FORCE_SCALE_PLAN=1 drives every gate onto its at-scale plan;
+    each gated query must still match its oracle, and at least one of
+    its `fits` calls must have been flipped by the switch (a gate the
+    input fits under the real cap, answered False)."""
+    import sys
+
+    import __ray_entry__ as e
+    from multimedia_indexing_ray.stages import partition
+
+    real, flipped = partition.fits, []
+
+    def _fits(n, cap):
+        got = real(n, cap)
+        flipped.append(0 < n <= cap and not got)
+        return got
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("multimedia_indexing_ray") and getattr(mod, "fits", None) is real:
+            monkeypatch.setattr(mod, "fits", _fits)
+    monkeypatch.setenv("GRAFT_FORCE_SCALE_PLAN", "1")
+    _assert_matches_oracle(con, name, e.queries()[name](SF_DIR))
+    assert any(flipped), f"{name}: no size gate was forced ({len(flipped)} fits calls)"
+
+
+def _assert_matches_oracle(con, name, res):
+    import __ray_entry__ as e
+
+    mine = _normalize(_to_pandas(res))
     theirs = _normalize(con.execute(e.oracle_sql()[name]).df())
     assert list(mine.columns) == list(theirs.columns), f"{name}: column names differ"
     assert len(mine) == len(theirs), f"{name}: row count {len(mine)} != {len(theirs)}"
