@@ -36,11 +36,11 @@ from multimedia_indexing_ray.functions.text import langid
 from multimedia_indexing_ray.sources.transcripts import events_to_transcripts
 from multimedia_indexing_ray.specs import DEFAULT_SPECS, FeatureSpecs
 from multimedia_indexing_ray.stages import dedup as dd
-from multimedia_indexing_ray.stages import keyed as kd
 from multimedia_indexing_ray.stages import knn as nn
 from multimedia_indexing_ray.stages.asof_join import asof_join
 from multimedia_indexing_ray.stages.features import compute_features
 from multimedia_indexing_ray.stages.join import broadcast_join, hash_join
+from multimedia_indexing_ray.stages.keyed import keyed_scan, session_ids, trailing_window
 from multimedia_indexing_ray.stages.partition import (
     BROADCAST_ROWS,
     COALESCE_DOCS,
@@ -166,9 +166,19 @@ def _tiny_group_sum(
 )
 def q_turn_features(sf_dir: str):
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
-    return kd.keyed_turn_features(
-        ev, "user_id", "ts", tiebreak="event_id", id_cols=["event_id"]
-    )
+
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = t["ts"].cast(pa.int64()).to_numpy()
+        return pa.table(
+            {
+                "event_id": t["event_id"],
+                "user_id": t["user_id"],
+                "gap_us": pa.array(sg.seg_gap_us(ts, starts), pa.int64()),
+                "rn": pa.array(sg.rel_index(starts, t.num_rows), pa.int64()),
+            }
+        )
+
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -184,9 +194,19 @@ def q_turn_features(sf_dir: str):
 )
 def q_sessionize(sf_dir: str):
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
-    return kd.keyed_sessionize(
-        ev, "user_id", "ts", gap_s=1800.0, tiebreak="event_id", id_cols=["event_id"]
-    )
+
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = t["ts"].cast(pa.int64()).to_numpy()
+        sid = session_ids(ts, starts, 1_800_000_000)
+        return pa.table(
+            {
+                "event_id": t["event_id"],
+                "user_id": t["user_id"],
+                "session_id": pa.array(sid, pa.int64()),
+            }
+        )
+
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -201,17 +221,20 @@ def q_sessionize(sf_dir: str):
 )
 def q_lag_lead(sf_dir: str):
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    return kd.keyed_lag_lead(
-        ev,
-        "user_id",
-        "ts",
-        "value",
-        lags=(1, 2),
-        leads=(1,),
-        fill=0.0,
-        tiebreak="event_id",
-        id_cols=["event_id"],
-    )
+
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        x = t["value"].cast(pa.float64()).to_numpy()
+        return pa.table(
+            {
+                "event_id": t["event_id"],
+                "user_id": t["user_id"],
+                "lag1_value": pa.array(sg.seg_lag(x, starts, 1, 0.0)),
+                "lag2_value": pa.array(sg.seg_lag(x, starts, 2, 0.0)),
+                "lead1_value": pa.array(sg.seg_lead(x, starts, 1, 0.0)),
+            }
+        )
+
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -226,18 +249,20 @@ def q_lag_lead(sf_dir: str):
 )
 def q_backfill(sf_dir: str):
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value", "event_type"])
-    return kd.keyed_backfill(
-        ev,
-        "user_id",
-        "ts",
-        "value",
-        where_col="event_type",
-        where_value="purchase",
-        out_col="last_purchase_value",
-        fill=0.0,
-        tiebreak="event_id",
-        id_cols=["event_id"],
-    )
+
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        x = t["value"].cast(pa.float64()).to_numpy(zero_copy_only=False)
+        valid = pc.equal(t["event_type"], "purchase").to_numpy(zero_copy_only=False)
+        valid = np.asarray(valid, dtype=bool)
+        return pa.table(
+            {
+                "event_id": t["event_id"],
+                "user_id": t["user_id"],
+                "last_purchase_value": pa.array(sg.seg_ffill(x, valid, starts, 0.0)),
+            }
+        )
+
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -259,22 +284,24 @@ def q_session_stats(sf_dir: str):
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"]).map_batches(
         _add_value_cents, batch_format="pyarrow"
     )
-    out = kd.keyed_session_stats(
-        ev, "user_id", "ts", "value_cents", gap_s=1800.0, tiebreak="event_id"
-    )
 
-    def _finish(batch: pa.Table) -> pa.Table:
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = t["ts"].cast(pa.int64()).to_numpy()
+        sid = session_ids(ts, starts, 1_800_000_000)
+        gstarts = np.union1d(starts, np.flatnonzero(np.diff(sid)) + 1)
+        ends = np.concatenate([gstarts[1:], [t.num_rows]])
+        x = t["value_cents"].cast(pa.float64()).to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "user_id": batch["user_id"],
-                "session_id": batch["session_id"],
-                "n_events": batch["n_events"],
-                "duration_us": batch["duration_us"],
-                "sum_value_cents": batch["sum_value_cents"].cast(pa.int64()),
+                "user_id": t["user_id"].take(pa.array(gstarts)),
+                "session_id": pa.array(sid[gstarts], pa.int64()),
+                "n_events": pa.array(ends - gstarts, pa.int64()),
+                "duration_us": pa.array(ts[ends - 1] - ts[gstarts], pa.int64()),
+                "sum_value_cents": pa.array(np.add.reduceat(x, gstarts)).cast(pa.int64()),
             }
         )
 
-    return out.map_batches(_finish, batch_format="pyarrow")
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -292,30 +319,23 @@ def q_sliding(sf_dir: str):
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"]).map_batches(
         _add_value_cents, batch_format="pyarrow"
     )
-    out = kd.keyed_sliding(
-        ev,
-        "user_id",
-        "ts",
-        "value_cents",
-        width_s=3600.0,
-        closed="both",
-        tiebreak="event_id",
-        id_cols=["event_id"],
-    )
 
-    def _finish(batch: pa.Table) -> pa.Table:
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = t["ts"].cast(pa.int64()).to_numpy()
+        lo, hi = trailing_window(ts, starts, 3600 * 1_000_000)
+        x = t["value_cents"].cast(pa.float64()).to_numpy(zero_copy_only=False)
+        vals = np.stack([np.ones_like(x), x], axis=1)
+        sums = sg.range_sums(sg.prefix_sums(vals), lo, hi)
         return pa.table(
             {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "cnt_1h": batch["cnt_value_cents"],
-                "sum_value_cents_1h": pa.array(
-                    batch["sum_value_cents"].to_numpy().astype(np.int64), pa.int64()
-                ),
+                "event_id": t["event_id"],
+                "user_id": t["user_id"],
+                "cnt_1h": pa.array(sums[:, 0].astype(np.int64), pa.int64()),
+                "sum_value_cents_1h": pa.array(sums[:, 1].astype(np.int64), pa.int64()),
             }
         )
 
-    return out.map_batches(_finish, batch_format="pyarrow")
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -331,21 +351,27 @@ def q_tumbling(sf_dir: str):
     ev = _rp(sf_dir, "events", ["user_id", "ts", "value"]).map_batches(
         _add_value_cents, batch_format="pyarrow"
     )
-    out = kd.keyed_tumbling_agg(ev, "user_id", "ts", "value_cents", width_s=3600.0)
+    width_us = 3600 * 1_000_000
 
-    def _finish(batch: pa.Table) -> pa.Table:
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        win = t["ts"].cast(pa.int64()).to_numpy() // width_us
+        gstarts = np.union1d(starts, np.flatnonzero(np.diff(win)) + 1)
+        x = t["value_cents"].cast(pa.float64()).to_numpy(zero_copy_only=False)
+        sums = np.add.reduceat(x, gstarts)
         return pa.table(
             {
-                "user_id": batch["user_id"],
-                "window_start": batch["window_start"],
-                "n_events": batch["n_events"],
-                "sum_value_cents": pa.array(
-                    batch["sum_value_cents"].to_numpy().astype(np.int64), pa.int64()
+                "user_id": t["user_id"].take(pa.array(gstarts)),
+                "window_start": pa.array(win[gstarts] * width_us, pa.int64()).cast(
+                    pa.timestamp("us")
                 ),
+                "n_events": pa.array(np.diff(np.r_[gstarts, t.num_rows]), pa.int64()),
+                "sum_value_cents": pa.array(sums.astype(np.int64), pa.int64()),
             }
         )
 
-    return out.map_batches(_finish, batch_format="pyarrow")
+    # (user_id, ts) only: the float cent sums keep the input order of
+    # equal-ts rows
+    return keyed_scan(ev, "user_id", ["ts"], body)
 
 
 @register(
@@ -964,8 +990,6 @@ def basket_pair_metrics(
     )
 
     def _expand(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _ROWS_EMPTY
         o = t["l_orderkey"].to_numpy()
         p = t["l_partkey"].to_numpy()
         order = np.lexsort((p, o))
@@ -1635,18 +1659,7 @@ def q_top_term(sf_dir: str):
     # doc_id-keyed argmax by (tf DESC, df ASC, term ASC)
     from multimedia_indexing_ray.stages.join import hash_join
 
-    _empty = pa.table(
-        {
-            "doc_id": pa.array([], pa.int64()),
-            "top_term": pa.array([], pa.string()),
-            "tf": pa.array([], pa.int64()),
-            "df": pa.array([], pa.int64()),
-        }
-    )
-
     def _argmax_group(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _empty
         d = t["doc_id"].to_numpy(zero_copy_only=False)
         terms = np.asarray(t["term"]).astype(object)
         tf = t["tf"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3032,30 +3045,17 @@ def q_session_funnel(sf_dir: str):
     exchange — no second shuffle for the rollup.  `converted` uses the
     strict ts rule (first view strictly before last purchase), identical
     on both sides."""
-    from multimedia_indexing_ray.functions import segments as sg
-    from multimedia_indexing_ray.stages.keyed import _codes, _sort_table, _ts_us
-
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-    thr_us = 1_800_000_000
 
-    def kernel(table: pa.Table) -> pa.Table:
-        t = _sort_table(table, "user_id", "ts", "event_id")
-        codes = _codes(t, "user_id")
-        starts = sg.segment_starts(codes)
-        ts = _ts_us(t, "ts")
-        gap = sg.seg_gap_us(ts, starts)
-        bound = sg.session_boundaries(gap.astype(np.float64), starts, float(thr_us))
-        gid = sg.group_index(bound)  # global session ordinal over partition
-        conv_bound = np.zeros(t.num_rows, dtype=bool)
-        conv_bound[starts] = True
-        gid0 = gid[sg.group_start_rows(conv_bound)]
-        sid = (gid - gid0).astype(np.int64)
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = t["ts"].cast(pa.int64()).to_numpy()
+        sid = session_ids(ts, starts, 1_800_000_000)
         et = np.asarray(t["event_type"]).astype(str)
         is_view = et == "view"
         is_purchase = et == "purchase"
         # per-session segment reductions over the (already sorted) rows
-        s_starts = sg.segment_starts(gid)
-        n_events = np.diff(np.r_[s_starts, len(gid)]).astype(np.int64)
+        s_starts = np.union1d(starts, np.flatnonzero(np.diff(sid)) + 1)
+        n_events = np.diff(np.r_[s_starts, t.num_rows]).astype(np.int64)
         n_views = np.add.reduceat(is_view.astype(np.int64), s_starts)
         n_purch = np.add.reduceat(is_purchase.astype(np.int64), s_starts)
         big = np.int64(2**62)
@@ -3074,7 +3074,7 @@ def q_session_funnel(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
 
 
 @register(
@@ -4488,17 +4488,7 @@ def q_zscore_per_user(sf_dir: str):
     bit-identical."""
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "value"])
 
-    _empty = pa.table(
-        {
-            "event_id": pa.array([], pa.int64()),
-            "user_id": pa.array([], pa.int64()),
-            "zvalue": pa.array([], pa.float64()),
-        }
-    )
-
     def kernel(table: pa.Table) -> pa.Table:
-        if table.num_rows == 0:
-            return _empty
         uid = table["user_id"].to_numpy()
         cents = _cents(table["value"].to_numpy()).astype(np.int64)
         order = np.argsort(uid, kind="stable")
@@ -4545,13 +4535,7 @@ def q_median(sf_dir: str):
     one fancy-index pass covers both parities)."""
     ev = _rp(sf_dir, "events", ["user_id", "value"])
 
-    _empty = pa.table(
-        {"user_id": pa.array([], pa.int64()), "median_value": pa.array([], pa.float64())}
-    )
-
     def kernel(table: pa.Table) -> pa.Table:
-        if table.num_rows == 0:
-            return _empty
         uid = table["user_id"].to_numpy(zero_copy_only=False)
         val = table["value"].to_numpy(zero_copy_only=False)
         order = np.lexsort((val, uid))
@@ -4592,28 +4576,22 @@ def q_rolling_minmax(sf_dir: str):
     SELECT an input double, so parity with SQL is bit-exact with no
     quantization."""
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    out = kd.keyed_sliding_minmax(
-        ev,
-        "user_id",
-        "ts",
-        "value",
-        width_s=3600.0,
-        closed="both",
-        tiebreak="event_id",
-        id_cols=["event_id"],
-    )
 
-    def _finish(batch: pa.Table) -> pa.Table:
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = t["ts"].cast(pa.int64()).to_numpy()
+        lo, hi = trailing_window(ts, starts, 3600 * 1_000_000)
+        x = t["value"].cast(pa.float64()).to_numpy(zero_copy_only=False)
+        mn, mx = sg.range_minmax(x, lo, hi)
         return pa.table(
             {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "min_value_1h": batch["min_value"],
-                "max_value_1h": batch["max_value"],
+                "event_id": t["event_id"],
+                "user_id": t["user_id"],
+                "min_value_1h": pa.array(mn),
+                "max_value_1h": pa.array(mx),
             }
         )
 
-    return out.map_batches(_finish, batch_format="pyarrow")
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -4641,27 +4619,20 @@ def q_rolling_median(sf_dir: str):
     ``quantile_cont(0.5)`` on doubles (verified empirically and gated by
     the parity suite), so parity is exact with no quantization tricks."""
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    out = kd.keyed_sliding_median(
-        ev,
-        "user_id",
-        "ts",
-        "value",
-        width_s=3600.0,
-        closed="both",
-        tiebreak="event_id",
-        id_cols=["event_id"],
-    )
 
-    def _finish(batch: pa.Table) -> pa.Table:
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = t["ts"].cast(pa.int64()).to_numpy()
+        lo, hi = trailing_window(ts, starts, 3600 * 1_000_000)
+        x = t["value"].cast(pa.float64()).to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "median_value_1h": batch["median_value"],
+                "event_id": t["event_id"],
+                "user_id": t["user_id"],
+                "median_value_1h": pa.array(sg.range_median(x, lo, hi)),
             }
         )
 
-    return out.map_batches(_finish, batch_format="pyarrow")
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -4686,28 +4657,20 @@ def q_rolling_p90(sf_dir: str):
     to DuckDB's windowed ``quantile_disc`` because both merely SELECT a
     double.  ONE shuffle on user_id."""
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    out = kd.keyed_sliding_quantile(
-        ev,
-        "user_id",
-        "ts",
-        "value",
-        width_s=3600.0,
-        q_pct=90,
-        closed="both",
-        tiebreak="event_id",
-        id_cols=["event_id"],
-    )
 
-    def _finish(batch: pa.Table) -> pa.Table:
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = t["ts"].cast(pa.int64()).to_numpy()
+        lo, hi = trailing_window(ts, starts, 3600 * 1_000_000)
+        x = t["value"].cast(pa.float64()).to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "p90_value_1h": batch["p90_value"],
+                "event_id": t["event_id"],
+                "user_id": t["user_id"],
+                "p90_value_1h": pa.array(sg.range_quantile_disc(x, lo, hi, 90)),
             }
         )
 
-    return out.map_batches(_finish, batch_format="pyarrow")
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -4743,36 +4706,72 @@ def q_rolling_corr(sf_dir: str):
     key — the BIVARIATE second-moment window family (trend-persistence
     feature) that sum/extrema/order-statistic windows cannot express.
     The six window sums are exact int64 prefix-sum differences over
-    integer cents (`stages/keyed.py:keyed_sliding_corr_lag1`), and the
-    final correlation is ONE fixed IEEE-754 expression tree over those
+    integer cents (rows with no lag — each user's first — join no
+    window), and the final correlation is ONE fixed IEEE-754 expression tree over those
     exact integers, written with identical casts and parenthesization in
     the oracle — so the DOUBLE output is bit-exact with no quantization
     or tolerance tricks, same discipline as `ewma_value_per_user`.  ONE
     shuffle on user_id; zero-variance / n<2 windows emit 0.0 on both
     sides."""
-    ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    out = kd.keyed_sliding_corr_lag1(
-        ev.map_batches(_add_value_cents, batch_format="pyarrow"),
-        "user_id",
-        "ts",
-        "value_cents",
-        width_s=3 * 86400.0,
-        closed="both",
-        tiebreak="event_id",
-        id_cols=["event_id"],
+    ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"]).map_batches(
+        _add_value_cents, batch_format="pyarrow"
     )
 
-    def _finish(batch: pa.Table) -> pa.Table:
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        n = t.num_rows
+        ts = t["ts"].cast(pa.int64()).to_numpy()
+        lo, hi = trailing_window(ts, starts, 3 * 86400 * 1_000_000)
+        x = t["value_cents"].cast(pa.float64()).to_numpy(zero_copy_only=False)
+        x64 = np.rint(x).astype(np.int64)
+        y64 = np.zeros_like(x64)
+        y64[1:] = x64[:-1]
+        y64[starts] = 0
+        v = np.ones(n, dtype=np.int64)
+        v[starts] = 0  # first row of each user has no lag pair
+        xv = x64 * v
+        blocks = np.stack([v, xv, xv * x64, y64, y64 * y64, xv * y64], axis=1)
+        s = sg.range_sums(sg.prefix_sums_int(blocks), lo, hi)
+        nn = s[:, 0].astype(np.float64)
+        sx = s[:, 1].astype(np.float64)
+        sxx = s[:, 2].astype(np.float64)
+        sy = s[:, 3].astype(np.float64)
+        syy = s[:, 4].astype(np.float64)
+        sxy = s[:, 5].astype(np.float64)
+        vx = nn * sxx - sx * sx
+        vy = nn * syy - sy * sy
+        cov = nn * sxy - sx * sy
+        with np.errstate(invalid="ignore", divide="ignore"):
+            corr = cov / (np.sqrt(vx) * np.sqrt(vy))
+        corr = np.where((vx > 0) & (vy > 0), corr, 0.0)
         return pa.table(
             {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "n_pairs_3d": batch["n_pairs"],
-                "corr_value_lag1_3d": batch["corr_lag1_value_cents"],
+                "event_id": t["event_id"],
+                "user_id": t["user_id"],
+                "n_pairs_3d": pa.array(s[:, 0], pa.int64()),
+                "corr_value_lag1_3d": pa.array(corr, pa.float64()),
             }
         )
 
-    return out.map_batches(_finish, batch_format="pyarrow")
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
+
+
+def _grid_ticks(ts: np.ndarray, starts: np.ndarray, counts: np.ndarray, step_us: int):
+    """Epoch-aligned grid ticks in [ceil_align(first ts), last ts] for
+    every key segment of a sorted partition, in one arange.  Returns
+    (seg_index_per_tick, tick_us) — empty arrays when no key spans a
+    tick."""
+    t0 = ts[starts]
+    t1 = ts[starts + counts - 1]
+    g0 = -(-t0 // step_us) * step_us  # ceil-align to the epoch grid
+    nt = np.maximum((t1 - g0) // step_us + 1, 0)
+    total = int(nt.sum())
+    if total == 0:
+        e = np.empty(0, dtype=np.int64)
+        return e, e
+    seg = np.repeat(np.arange(len(starts), dtype=np.int64), nt)
+    cum = np.concatenate([[0], np.cumsum(nt)[:-1]])
+    tick = g0[seg] + (np.arange(total, dtype=np.int64) - np.repeat(cum, nt)) * step_us
+    return seg, tick
 
 
 @register(
@@ -4797,23 +4796,45 @@ def q_resample_1h_ffill(sf_dir: str):
     carrying the last-observed value (equal-ts ties resolve
     last-write-wins by event_id, mirrored by the oracle's ``arg_max``).
     This is how a serving table / training design matrix is laid onto a
-    uniform clock.  Fully vectorized (`stages/keyed.py:
-    keyed_resample_ffill`): integer ceil-align arithmetic generates all
-    ticks of a partition in one arange, and ONE searchsorted on the
+    uniform clock.  Fully vectorized (`_grid_ticks` in one
+    `stages/keyed.py:keyed_scan` body): integer ceil-align arithmetic
+    generates all ticks of a partition in one arange, and ONE searchsorted on the
     shared adjusted-ts axis resolves every tick's as-of source row; ONE
     shuffle on user_id; output size is span/step per key, bounded by
     wall-clock span, not row count.  Oracle: DuckDB ``generate_series``
     + native ``ASOF JOIN``."""
 
-    ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    return kd.keyed_resample_ffill(
-        ev.map_batches(_add_value_cents_i64, batch_format="pyarrow"),
-        "user_id",
-        "ts",
-        "value_cents",
-        step_s=3600.0,
-        tiebreak="event_id",
+    ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"]).map_batches(
+        _add_value_cents_i64, batch_format="pyarrow"
     )
+    step_us = 3600 * 1_000_000
+
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = t["ts"].cast(pa.int64()).to_numpy()
+        counts = sg.segment_counts(starts, t.num_rows)
+        seg, tick = _grid_ticks(ts, starts, counts, step_us)
+        if len(tick) == 0:
+            return pa.table(
+                {
+                    "user_id": t["user_id"].slice(0, 0),
+                    "tick": pa.array([], pa.timestamp("us")),
+                    "last_value_cents": t["value_cents"].slice(0, 0),
+                }
+            )
+        adj = sg.adjusted_ts(ts, starts, 1)
+        off = adj[starts] - ts[starts]
+        # side="right" - 1: last row with ts <= tick; equal-ts peers are
+        # sorted by event_id so the LAST (max event_id) wins.
+        idx = np.searchsorted(adj, tick + off[seg], side="right") - 1
+        return pa.table(
+            {
+                "user_id": t["user_id"].take(pa.array(starts[seg], pa.int64())),
+                "tick": pa.array(tick, pa.timestamp("us")),
+                "last_value_cents": t["value_cents"].take(pa.array(idx, pa.int64())),
+            }
+        )
+
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -4916,28 +4937,36 @@ def q_zscore_value_pit(sf_dir: str):
 
     is one fixed IEEE-754 expression tree over those exact integers,
     written identically in the oracle — bit-exact DOUBLEs, no tolerance.
-    ONE shuffle on user_id (`stages/keyed.py:keyed_expanding_zscore`)."""
-    ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    out = kd.keyed_expanding_zscore(
-        ev.map_batches(_add_value_cents, batch_format="pyarrow"),
-        "user_id",
-        "ts",
-        "value_cents",
-        tiebreak="event_id",
-        id_cols=["event_id"],
+    ONE shuffle on user_id (`stages/keyed.py:keyed_scan`)."""
+    ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"]).map_batches(
+        _add_value_cents, batch_format="pyarrow"
     )
 
-    def _finish(batch: pa.Table) -> pa.Table:
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        n = t.num_rows
+        x = t["value_cents"].cast(pa.float64()).to_numpy(zero_copy_only=False)
+        c64 = np.rint(x).astype(np.int64)
+        P = sg.prefix_sums_int(np.stack([c64, c64 * c64], axis=1))
+        seg0 = np.repeat(starts, sg.segment_counts(starts, n))  # each row's first
+        rel = sg.rel_index(starts, n).astype(np.int64)  # = n_prior
+        sx = (P[np.arange(n), 0] - P[seg0, 0]).astype(np.float64)
+        sxx = (P[np.arange(n), 1] - P[seg0, 1]).astype(np.float64)
+        nn = rel.astype(np.float64)
+        cf = c64.astype(np.float64)
+        var = nn * sxx - sx * sx
+        with np.errstate(invalid="ignore", divide="ignore"):
+            z = (nn * cf - sx) / np.sqrt(var)
+        z = np.where((rel >= 2) & (var > 0), z, 0.0)
         return pa.table(
             {
-                "event_id": batch["event_id"],
-                "user_id": batch["user_id"],
-                "n_prior": batch["n_prior"],
-                "z_pit_value_cents": batch["z_pit_value_cents"],
+                "event_id": t["event_id"],
+                "user_id": t["user_id"],
+                "n_prior": pa.array(rel, pa.int64()),
+                "z_pit_value_cents": pa.array(z, pa.float64()),
             }
         )
 
-    return out.map_batches(_finish, batch_format="pyarrow")
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -4981,28 +5010,13 @@ def q_twa_value(sf_dir: str):
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
     W = 3600 * 1_000_000
 
-    def kernel(table: pa.Table) -> pa.Table:
-        t = table.sort_by(
-            [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")]
-        )
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
         n = t.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "twa_num_cents_us": pa.array([], pa.int64()),
-                    "covered_us": pa.array([], pa.int64()),
-                }
-            )
-        uid = t["user_id"].to_numpy()
-        starts = sg.segment_starts(uid)
         counts = sg.segment_counts(starts, n)
         seg0 = np.repeat(starts, counts)
         ts = t["ts"].cast(pa.int64()).to_numpy()
         c = _cents(t["value"].to_numpy()).astype(np.int64)
-        adj = sg.adjusted_ts(ts, starts, W + 1)
-        lo = sg.sliding_lo(adj, W, "both")
+        lo, _ = trailing_window(ts, starts, W)
         # per-row segment mass: value holds until the user's next event
         nts = np.empty(n, dtype=np.int64)
         nts[:-1] = ts[1:]
@@ -5027,7 +5041,7 @@ def q_twa_value(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
 
 
 @register(
@@ -5057,28 +5071,10 @@ def q_rolling_pctrank(sf_dir: str):
     is on the RAW doubles (dense-ranked exactly inside the kernel), so
     sub-cent distinctions the oracle's `<=` sees are preserved."""
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    width_us = 3600 * 1_000_000
 
-    def kernel(table: pa.Table) -> pa.Table:
-        t = table.sort_by(
-            [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")]
-        )
-        n = t.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "rank_le_1h": pa.array([], pa.int64()),
-                    "n_1h": pa.array([], pa.int64()),
-                }
-            )
-        uid = t["user_id"].to_numpy()
-        starts = sg.segment_starts(uid)
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
         ts = t["ts"].cast(pa.int64()).to_numpy()
-        adj = sg.adjusted_ts(ts, starts, width_us + 1)
-        hi = sg.visible_hi(adj)
-        lo = sg.sliding_lo(adj, width_us, "both")
+        lo, hi = trailing_window(ts, starts, 3600 * 1_000_000)
         rank = sg.range_rank_le(t["value"].to_numpy(), lo, hi)
         return pa.table(
             {
@@ -5089,7 +5085,7 @@ def q_rolling_pctrank(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
 
 
 @register(
@@ -5124,25 +5120,12 @@ def q_event_type_streak(sf_dir: str):
     user_id."""
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
-    def kernel(table: pa.Table) -> pa.Table:
-        t = table.sort_by(
-            [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")]
-        )
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
         n = t.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "streak_len": pa.array([], pa.int64()),
-                    "is_run_start": pa.array([], pa.int64()),
-                }
-            )
-        uid = t["user_id"].to_numpy()
         et = t["event_type"].to_numpy(zero_copy_only=False)
-        bound = np.ones(n, dtype=bool)
-        if n > 1:
-            bound[1:] = (uid[1:] != uid[:-1]) | (et[1:] != et[:-1])
+        bound = np.zeros(n, dtype=bool)
+        bound[1:] = et[1:] != et[:-1]
+        bound[starts] = True
         run_starts = np.flatnonzero(bound).astype(np.int64)
         streak = sg.rel_index(run_starts, n) + 1
         return pa.table(
@@ -5154,7 +5137,7 @@ def q_event_type_streak(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
 
 
 @register(
@@ -5319,24 +5302,9 @@ def q_rolling_rowframe_5(sf_dir: str):
     user_id."""
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
-    def kernel(table: pa.Table) -> pa.Table:
-        t = table.sort_by(
-            [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")]
-        )
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
         n = t.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "n_last5": pa.array([], pa.int64()),
-                    "sum_cents_last5": pa.array([], pa.int64()),
-                }
-            )
-        uid = t["user_id"].to_numpy()
-        starts = sg.segment_starts(uid)
-        counts = sg.segment_counts(starts, n)
-        seg0 = np.repeat(starts, counts)
+        seg0 = np.repeat(starts, sg.segment_counts(starts, n))
         cents = _cents(t["value"].to_numpy()).astype(np.int64)
         P = sg.prefix_sums_int(cents)
         rows = np.arange(n)
@@ -5350,7 +5318,7 @@ def q_rolling_rowframe_5(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
 
 
 @register(
@@ -5375,29 +5343,10 @@ def q_rolling_iqr(sf_dir: str):
     exact doubles — bit-identical on both sides.  ONE shuffle on
     user_id."""
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    width_us = 3600 * 1_000_000
 
-    def kernel(table: pa.Table) -> pa.Table:
-        t = table.sort_by(
-            [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")]
-        )
-        n = t.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "p25_value_1h": pa.array([], pa.float64()),
-                    "p75_value_1h": pa.array([], pa.float64()),
-                    "iqr_value_1h": pa.array([], pa.float64()),
-                }
-            )
-        uid = t["user_id"].to_numpy()
-        starts = sg.segment_starts(uid)
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
         ts = t["ts"].cast(pa.int64()).to_numpy()
-        adj = sg.adjusted_ts(ts, starts, width_us + 1)
-        hi = sg.visible_hi(adj)
-        lo = sg.sliding_lo(adj, width_us, "both")
+        lo, hi = trailing_window(ts, starts, 3600 * 1_000_000)
         x = t["value"].to_numpy(zero_copy_only=False)
         p25, p75 = sg.range_quantile_disc_multi(x, lo, hi, (25, 75))
         return pa.table(
@@ -5410,7 +5359,7 @@ def q_rolling_iqr(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
 
 
 @register(
@@ -5447,25 +5396,10 @@ def q_purchases_between_errors(sf_dir: str):
     ONE shuffle on user_id."""
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type", "value"])
 
-    def kernel(table: pa.Table) -> pa.Table:
-        t = table.sort_by(
-            [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")]
-        )
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
         n = t.num_rows
-        empty = pa.table(
-            {
-                "event_id": pa.array([], pa.int64()),
-                "user_id": pa.array([], pa.int64()),
-                "n_purchases_since_prev_error": pa.array([], pa.int64()),
-                "sum_cents_since_prev_error": pa.array([], pa.int64()),
-            }
-        )
-        if n == 0:
-            return empty
         uid = t["user_id"].to_numpy()
-        starts = sg.segment_starts(uid)
-        counts = sg.segment_counts(starts, n)
-        seg0 = np.repeat(starts, counts)
+        seg0 = np.repeat(starts, sg.segment_counts(starts, n))
         et = t["event_type"].to_numpy(zero_copy_only=False)
         is_pur = (et == "purchase").astype(np.int64)
         cents = _cents(t["value"].to_numpy()).astype(np.int64)
@@ -5475,7 +5409,14 @@ def q_purchases_between_errors(sf_dir: str):
         sp_prior = P[rows, 1] - P[seg0, 1]
         err = np.flatnonzero(et == "error")
         if err.size == 0:
-            return empty
+            return pa.table(
+                {
+                    "event_id": pa.array([], pa.int64()),
+                    "user_id": pa.array([], pa.int64()),
+                    "n_purchases_since_prev_error": pa.array([], pa.int64()),
+                    "sum_cents_since_prev_error": pa.array([], pa.int64()),
+                }
+            )
         e_uid = uid[err]
         e_starts = sg.segment_starts(e_uid)
 
@@ -5500,7 +5441,7 @@ def q_purchases_between_errors(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
 
 
 @register(
@@ -5540,18 +5481,55 @@ def q_resample_1h_interp(sf_dir: str):
     cents x microsecond deltas, and the single cast + division is one
     IEEE tree shared with the oracle — bit-exact DOUBLEs.  No
     extrapolation past the last event (v0 carries).  Same one-shuffle
-    one-searchsorted plan (`stages/keyed.py:keyed_resample_interp`);
+    one-searchsorted plan (`stages/keyed.py:keyed_scan`);
     oracle: dual DuckDB ASOF JOINs (backward + forward)."""
 
-    ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-    return kd.keyed_resample_interp(
-        ev.map_batches(_add_value_cents_i64, batch_format="pyarrow"),
-        "user_id",
-        "ts",
-        "value_cents",
-        step_s=3600.0,
-        tiebreak="event_id",
+    ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"]).map_batches(
+        _add_value_cents_i64, batch_format="pyarrow"
     )
+    step_us = 3600 * 1_000_000
+
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        n = t.num_rows
+        counts = sg.segment_counts(starts, n)
+        ts = t["ts"].cast(pa.int64()).to_numpy()
+        seg, tick = _grid_ticks(ts, starts, counts, step_us)
+        if len(tick) == 0:
+            return pa.table(
+                {
+                    "user_id": t["user_id"].slice(0, 0),
+                    "tick": pa.array([], pa.timestamp("us")),
+                    "interp_value_cents": pa.array([], pa.float64()),
+                }
+            )
+        adj = sg.adjusted_ts(ts, starts, 1)
+        off = adj[starts] - ts[starts]
+        tick_adj = tick + off[seg]
+        i0 = np.searchsorted(adj, tick_adj, side="right") - 1  # last ts <= tick
+        i1 = np.searchsorted(adj, tick_adj, side="right")  # first ts > tick
+        has_next = i1 < starts[seg] + counts[seg]  # before the user's last row
+        x = t["value_cents"].cast(pa.int64()).to_numpy(zero_copy_only=False)
+        v0 = x[i0]
+        t0 = ts[i0]
+        i1c = np.minimum(i1, n - 1)
+        v1 = x[i1c]
+        t1 = ts[i1c]
+        # exact int64 cross-products; single cast + one division (shared
+        # IEEE tree with the oracle)
+        num = (v0 * (t1 - tick) + v1 * (tick - t0)).astype(np.float64)
+        den = (t1 - t0).astype(np.float64)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            interp = num / den
+        interp = np.where(has_next, interp, v0.astype(np.float64))
+        return pa.table(
+            {
+                "user_id": t["user_id"].take(pa.array(starts[seg], pa.int64())),
+                "tick": pa.array(tick, pa.timestamp("us")),
+                "interp_value_cents": pa.array(interp, pa.float64()),
+            }
+        )
+
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -5623,19 +5601,13 @@ def q_target_encode_user(sf_dir: str):
     rate is a single int/int division, bit-identical to the SQL."""
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
-    def kernel(table: pa.Table) -> pa.Table:
-        t = table.sort_by(
-            [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")]
-        )
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
         n = t.num_rows
-        uid = t["user_id"].to_numpy()
-        starts = sg.segment_starts(uid)
         n_prior = sg.rel_index(starts, n)
         purch = pc.equal(t["event_type"], "purchase").to_numpy(zero_copy_only=False)
         purch = np.asarray(purch, dtype=np.int64)
-        ex = np.concatenate([[0], np.cumsum(purch)[:-1]]) if n else np.empty(0, np.int64)
-        seg_base = np.repeat(ex[starts], sg.segment_counts(starts, n)) if n else ex
-        npp = ex - seg_base
+        ex = np.concatenate([[0], np.cumsum(purch)[:-1]])
+        npp = ex - np.repeat(ex[starts], sg.segment_counts(starts, n))
         with np.errstate(invalid="ignore", divide="ignore"):
             rate = npp.astype(np.float64) / n_prior
         return pa.table(
@@ -5648,7 +5620,7 @@ def q_target_encode_user(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
 
 
 @register(
@@ -5781,8 +5753,6 @@ def q_inverted_index(sf_dir: str):
         )
 
     def _reduce(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _empty
         g = pa.TableGroupBy(t, ["term"]).aggregate(
             [("df", "sum"), ("tf", "sum"), ("first_doc", "min")]
         )
@@ -5959,17 +5929,7 @@ def q_ntile_value_per_type(sf_dir: str):
     ev = _rp(sf_dir, "events", ["event_id", "event_type", "value"])
     K = 4
 
-    _empty = pa.table(
-        {
-            "event_id": pa.array([], pa.int64()),
-            "event_type": pa.array([], pa.string()),
-            "quartile": pa.array([], pa.int64()),
-        }
-    )
-
     def kernel(table: pa.Table) -> pa.Table:
-        if table.num_rows == 0:
-            return _empty
         et = np.asarray(table["event_type"].to_numpy(zero_copy_only=False), dtype=object)
         val = table["value"].to_numpy(zero_copy_only=False)
         eid = table["event_id"].to_numpy(zero_copy_only=False)
@@ -6193,25 +6153,10 @@ def q_ewma_value_per_user(sf_dir: str):
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
     K = 20
 
-    def kernel(table: pa.Table) -> pa.Table:
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
         from numpy.lib.stride_tricks import sliding_window_view
 
-        t = table.sort_by(
-            [("user_id", "ascending"), ("ts", "ascending"), ("event_id", "ascending")]
-        )
-        n = t.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "ewma_value_cents": pa.array([], pa.float64()),
-                    "n_terms": pa.array([], pa.int64()),
-                }
-            )
-        uid = t["user_id"].to_numpy()
-        starts = sg.segment_starts(uid)
-        rel = sg.rel_index(starts, n)
+        rel = sg.rel_index(starts, t.num_rows)
         cents = _cents(t["value"].to_numpy())
         padded = np.concatenate([np.zeros(K - 1), cents])
         w = sliding_window_view(padded, K)  # row i = cents[i-19..i]
@@ -6229,7 +6174,7 @@ def q_ewma_value_per_user(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
 
 
 @register(
@@ -6449,14 +6394,6 @@ def q_cum_distinct_types(sf_dir: str):
 
     def kernel(table: pa.Table) -> pa.Table:
         n = table.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "distinct_types_so_far": pa.array([], pa.int64()),
-                }
-            )
         uid = table["user_id"].to_numpy()
         eid = table["event_id"].to_numpy()
         ts = table["ts"].cast(pa.int64()).to_numpy()
@@ -6547,14 +6484,6 @@ def q_temporal_split_assign(sf_dir: str):
 
     def kernel(table: pa.Table) -> pa.Table:
         n = table.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "split": pa.array([], pa.string()),
-                }
-            )
         uid = table["user_id"].to_numpy()
         eid = table["event_id"].to_numpy()
         ts = table["ts"].cast(pa.int64()).to_numpy()
@@ -6599,15 +6528,6 @@ def q_user_tenure_features(sf_dir: str):
 
     def kernel(table: pa.Table) -> pa.Table:
         n = table.num_rows
-        if n == 0:
-            return pa.table(
-                {
-                    "event_id": pa.array([], pa.int64()),
-                    "user_id": pa.array([], pa.int64()),
-                    "tenure_s": pa.array([], pa.int64()),
-                    "event_rank": pa.array([], pa.int64()),
-                }
-            )
         uid = table["user_id"].to_numpy()
         eid = table["event_id"].to_numpy()
         ts = table["ts"].cast(pa.int64()).to_numpy()
@@ -7027,8 +6947,6 @@ def q_event_transition_probs(sf_dir: str):
 
     def kernel(table: pa.Table) -> pa.Table:
         n = table.num_rows
-        if n == 0:
-            return _empty
         uid = table["user_id"].to_numpy()
         eid = table["event_id"].to_numpy()
         ts = table["ts"].cast(pa.int64()).to_numpy()
@@ -7372,8 +7290,6 @@ def q_tfidf_top_terms(sf_dir: str):
     from multimedia_indexing_ray.stages.join import hash_join
 
     def _topk(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _empty
         d = t["doc_id"].to_numpy(zero_copy_only=False)
         terms = np.asarray(t["term"]).astype(object)
         tf = t["tf"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -7435,19 +7351,7 @@ def q_gini_by_type(sf_dir: str):
     of <2^53 integers, bit-identical to the SQL window formulation."""
     ev = _rp(sf_dir, "events", ["event_type", "value"])
 
-    _gempty = pa.table(
-        {
-            "event_type": pa.array([], pa.string()),
-            "n": pa.array([], pa.int64()),
-            "sum_cents": pa.array([], pa.int64()),
-            "rank_weighted_sum": pa.array([], pa.int64()),
-            "gini": pa.array([], pa.float64()),
-        }
-    )
-
     def _finish(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _gempty
         g = _pa_group_sum(t, ["event_type", "c"], ["cnt"])
         et = g["event_type"].to_numpy(zero_copy_only=False)
         c = g["c"].to_numpy()
@@ -7584,8 +7488,6 @@ def q_daily_user_spend_rank(sf_dir: str):
         )
 
     def _rank(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _pempty.append_column("spend_rank", pa.array([], pa.int64()))
         g = _pa_group_sum(t, ["user_id", "day_idx"], ["spend_cents"])
         u = g["user_id"].to_numpy()
         d_ = g["day_idx"].to_numpy()
@@ -7641,21 +7543,8 @@ def q_user_session_profile(sf_dir: str):
     are single int/int divisions of exact sums."""
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
 
-    _empty = pa.table(
-        {
-            "user_id": pa.array([], pa.int64()),
-            "n_sessions": pa.array([], pa.int64()),
-            "n_events": pa.array([], pa.int64()),
-            "events_per_session": pa.array([], pa.float64()),
-            "total_session_us": pa.array([], pa.int64()),
-            "mean_session_us": pa.array([], pa.float64()),
-        }
-    )
-
     def kernel(table: pa.Table) -> pa.Table:
         n = table.num_rows
-        if n == 0:
-            return _empty
         uid = table["user_id"].to_numpy()
         eid = table["event_id"].to_numpy()
         ts = table["ts"].cast(pa.int64()).to_numpy()
@@ -7751,19 +7640,8 @@ def q_churn_label_7d(sf_dir: str):
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
     WEEK = 604_800_000_000
 
-    _empty = pa.table(
-        {
-            "event_id": pa.array([], pa.int64()),
-            "user_id": pa.array([], pa.int64()),
-            "next_gap_us": pa.array([], pa.int64()),
-            "churned_7d": pa.array([], pa.bool_()),
-        }
-    )
-
     def kernel(table: pa.Table) -> pa.Table:
         n = table.num_rows
-        if n == 0:
-            return _empty
         uid = table["user_id"].to_numpy()
         eid = table["event_id"].to_numpy()
         ts = table["ts"].cast(pa.int64()).to_numpy()
@@ -7819,17 +7697,7 @@ def q_spend_trend_per_user(sf_dir: str):
     ev = _rp(sf_dir, "events", ["user_id", "ts", "value"])
     HOUR = 3_600_000_000
 
-    _empty = pa.table(
-        {
-            "user_id": pa.array([], pa.int64()),
-            "n": pa.array([], pa.int64()),
-            "slope_cents_per_hour": pa.array([], pa.float64()),
-        }
-    )
-
     def kernel(table: pa.Table) -> pa.Table:
-        if table.num_rows == 0:
-            return _empty
         uid = table["user_id"].to_numpy()
         ts = table["ts"].cast(pa.int64()).to_numpy()
         c = _cents(table["value"].to_numpy(zero_copy_only=False)).astype(np.int64)
@@ -8290,24 +8158,8 @@ def q_user_feature_store(sf_dir: str):
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type", "value"])
     HOUR = 3_600_000_000
 
-    _empty = pa.table(
-        {
-            "user_id": pa.array([], pa.int64()),
-            "n_events": pa.array([], pa.int64()),
-            "n_sessions": pa.array([], pa.int64()),
-            "events_per_session": pa.array([], pa.float64()),
-            "tenure_s": pa.array([], pa.int64()),
-            "total_value_cents": pa.array([], pa.int64()),
-            "n_purchase": pa.array([], pa.int64()),
-            "n_error": pa.array([], pa.int64()),
-            "slope_cents_per_hour": pa.array([], pa.float64()),
-        }
-    )
-
     def kernel(table: pa.Table) -> pa.Table:
         n = table.num_rows
-        if n == 0:
-            return _empty
         uid = table["user_id"].to_numpy()
         eid = table["event_id"].to_numpy()
         ts = table["ts"].cast(pa.int64()).to_numpy()
@@ -8423,14 +8275,8 @@ def q_hourly_concurrent_sessions(sf_dir: str):
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
     HOUR = 3_600_000_000
 
-    _dempty = pa.table(
-        {"h": pa.array([], pa.int64()), "d": pa.array([], pa.int64())}
-    )
-
     def kernel(table: pa.Table) -> pa.Table:
         n = table.num_rows
-        if n == 0:
-            return _dempty
         uid = table["user_id"].to_numpy()
         eid = table["event_id"].to_numpy()
         ts = table["ts"].cast(pa.int64()).to_numpy()
@@ -8505,13 +8351,7 @@ def q_sliding_distinct_users_1h(sf_dir: str):
     W = 3_600_000_000
     NEG = np.int64(-(2**62))
 
-    _empty = pa.table(
-        {"event_id": pa.array([], pa.int64()), "du_1h": pa.array([], pa.int64())}
-    )
-
     def kernel(table: pa.Table) -> pa.Table:
-        if table.num_rows == 0:
-            return _empty
         et = table["event_type"].to_numpy(zero_copy_only=False)
         types = np.unique(et)
         outs = []
@@ -8813,8 +8653,6 @@ def q_lm_perplexity_docs(sf_dir: str):
     )
 
     def _doc_reduce(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _LM_EMPTY
         d = t["doc_id"].to_numpy(zero_copy_only=False)
         k = t["k"].to_numpy(zero_copy_only=False).astype(np.int64)
         c2 = t["c2"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -9562,19 +9400,7 @@ def q_small_quantity_parts(sf_dir: str):
             }
         )
 
-    _empty = pa.table(
-        {
-            "partkey": pa.array([], pa.int64()),
-            "n_li": pa.array([], pa.int64()),
-            "sum_qty": pa.array([], pa.int64()),
-            "n_small": pa.array([], pa.int64()),
-            "small_revenue_cents": pa.array([], pa.int64()),
-        }
-    )
-
     def _finish(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _empty
         k = t["partkey"].to_numpy(zero_copy_only=False)
         q = t["q"].to_numpy(zero_copy_only=False)
         price = t["price_cents"].to_numpy(zero_copy_only=False)
@@ -9649,18 +9475,7 @@ def q_session_day_split(sf_dir: str):
     DAY = 86_400_000_000
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
 
-    _empty = pa.table(
-        {
-            "user_id": pa.array([], pa.int64()),
-            "session_id": pa.array([], pa.int64()),
-            "day_us": pa.array([], pa.int64()),
-            "overlap_us": pa.array([], pa.int64()),
-        }
-    )
-
     def _finish(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _empty
         u = t["user_id"].to_numpy(zero_copy_only=False)
         ts = t["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
         eid = t["event_id"].to_numpy(zero_copy_only=False)
@@ -9668,8 +9483,8 @@ def q_session_day_split(sf_dir: str):
         u, ts = u[order], ts[order]
         ustarts = sg.segment_starts(u)
         gaps = sg.seg_gap_us(ts, ustarts)
-        # integer-µs gap compare, the keyed_sessionize convention (exact
-        # for any threshold, unlike a /1e6 seconds round-trip)
+        # integer-µs gap compare, the `keyed.session_ids` convention
+        # (exact for any threshold, unlike a /1e6 seconds round-trip)
         bound = sg.session_boundaries(
             gaps.astype(np.float64), ustarts, float(1_800_000_000)
         )
@@ -9740,19 +9555,7 @@ def q_type_diversity_per_user(sf_dir: str):
         )
         return _pa_group_sum(t, ["user_id", "event_type"], ["c"])
 
-    _empty = pa.table(
-        {
-            "user_id": pa.array([], pa.int64()),
-            "n": pa.array([], pa.int64()),
-            "k": pa.array([], pa.int64()),
-            "coll_num": pa.array([], pa.int64()),
-            "simpson": pa.array([], pa.float64()),
-        }
-    )
-
     def _finish(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _empty
         g = _pa_group_sum(t, ["user_id", "event_type"], ["c"])
         u = g["user_id"].to_numpy(zero_copy_only=False)
         c = g["c"].to_numpy(zero_copy_only=False)
@@ -9850,19 +9653,7 @@ def q_daily_purchase_error_join(sf_dir: str):
         )
         return _pa_group_sum(t, ["user_id", "day_us", "kind"], ["n", "cents"])
 
-    _J_EMPTY = pa.table(
-        {
-            "user_id": pa.array([], pa.int64()),
-            "day_us": pa.array([], pa.int64()),
-            "purchase_cents": pa.array([], pa.int64()),
-            "n_purchases": pa.array([], pa.int64()),
-            "n_errors": pa.array([], pa.int64()),
-        }
-    )
-
     def _align(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _J_EMPTY
         g = _pa_group_sum(t, ["user_id", "day_us", "kind"], ["n", "cents"])
         u = g["user_id"].to_numpy(zero_copy_only=False)
         d = g["day_us"].to_numpy(zero_copy_only=False)
@@ -9987,8 +9778,6 @@ def q_quantile_sketch_conformance(sf_dir: str):
     )
 
     def _merge(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _E_EMPTY
         et = t["event_type"].to_numpy(zero_copy_only=False)
         v = t["v"].to_numpy(zero_copy_only=False)
         w = t["w"].to_numpy(zero_copy_only=False)
@@ -10121,16 +9910,23 @@ def q_rolling_mode(sf_dir: str):
     rank.  ONE shuffle on user_id; the oracle's O(n x window) self-join
     stays SQL-only."""
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-    return kd.keyed_sliding_mode(
-        ev,
-        "user_id",
-        "ts",
-        "event_type",
-        width_s=3600.0,
-        closed="both",
-        tiebreak="event_id",
-        id_cols=["event_id"],
-    )
+
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        ts = t["ts"].cast(pa.int64()).to_numpy()
+        lo, hi = trailing_window(ts, starts, 3600 * 1_000_000)
+        vals = t["event_type"].to_numpy(zero_copy_only=False)
+        cats, vcodes = np.unique(vals.astype(str), return_inverse=True)
+        # every window holds its own row, so no window's mode is empty
+        mode = cats[sg.range_mode(vcodes, lo, hi)]
+        return pa.table(
+            {
+                "event_id": t["event_id"],
+                "user_id": t["user_id"],
+                "mode_event_type": pa.array(mode, pa.string()),
+            }
+        )
+
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -10472,18 +10268,7 @@ def q_semdedup_docs(sf_dir: str):
             }
         )
 
-    _empty = pa.table(
-        {
-            "vec_id": pa.array([], pa.int64()),
-            "centroid_id": pa.array([], pa.int64()),
-            "dist": pa.array([], pa.int64()),
-            "kept": pa.array([], pa.int64()),
-        }
-    )
-
     def _prune(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _empty
         idx = pc.sort_indices(
             t,
             sort_keys=[
@@ -10687,21 +10472,7 @@ def q_mad_outlier_per_type(sf_dir: str):
     same exact lo+hi pairs."""
     ev = _rp(sf_dir, "events", ["event_type", "value"])
 
-    _empty = pa.table(
-        {
-            "event_type": pa.array([], pa.string()),
-            "med2": pa.array([], pa.int64()),
-            "mad2": pa.array([], pa.int64()),
-            "median_value": pa.array([], pa.float64()),
-            "mad_value": pa.array([], pa.float64()),
-            "n_outliers": pa.array([], pa.int64()),
-            "n": pa.array([], pa.int64()),
-        }
-    )
-
     def kernel(table: pa.Table) -> pa.Table:
-        if table.num_rows == 0:
-            return _empty
         et = table["event_type"].to_numpy(zero_copy_only=False)
         cents = _cents(table["value"].to_numpy(zero_copy_only=False)).astype(np.int64)
         types, meds2, mads2, outl, ns = [], [], [], [], []
@@ -10945,16 +10716,6 @@ def q_tv_drift_by_type(sf_dir: str):
             "nb": pa.array([], pa.int64()),
         }
     )
-    _out_schema = pa.schema(
-        [
-            ("event_type", pa.string()),
-            ("n_early", pa.int64()),
-            ("n_late", pa.int64()),
-            ("tv_num", pa.int64()),
-            ("tv_den", pa.int64()),
-            ("tv", pa.float64()),
-        ]
-    )
 
     def _partial(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
@@ -10974,8 +10735,6 @@ def q_tv_drift_by_type(sf_dir: str):
         return _pa_group_sum(t, ["event_type", "bucket"], ["na", "nb"])
 
     def _finish(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _out_schema.empty_table()
         g = _pa_group_sum(t, ["event_type", "bucket"], ["na", "nb"])
         et = g["event_type"].to_numpy(zero_copy_only=False)
         na = g["na"].to_numpy()
@@ -11088,15 +10847,6 @@ def q_mutual_knn_pairs(sf_dir: str):
 
     topk = emb.map_batches(_selfknn, batch_format="pyarrow", batch_size=1024)
 
-    _out_schema = pa.schema(
-        [
-            ("a_id", pa.int64()),
-            ("b_id", pa.int64()),
-            ("rank_ab", pa.int64()),
-            ("rank_ba", pa.int64()),
-        ]
-    )
-
     def _edge_key(batch: pa.Table) -> pa.Table:
         src = batch["query_id"].to_numpy()
         dst = batch["neighbor_id"].to_numpy()
@@ -11116,8 +10866,6 @@ def q_mutual_knn_pairs(sf_dir: str):
         )
 
     def _match(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _out_schema.empty_table()
         lo = t["lo"].to_numpy()
         hi = t["hi"].to_numpy()
         fwd = t["fwd"].to_numpy()
@@ -11216,18 +10964,7 @@ def q_snapshot_diff(sf_dir: str):
         _snap(1, 7), batch_format="pyarrow"
     )
 
-    _out_schema = pa.schema(
-        [
-            ("event_id", pa.int64()),
-            ("status", pa.string()),
-            ("old_cents", pa.int64()),
-            ("new_cents", pa.int64()),
-        ]
-    )
-
     def _diff(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _out_schema.empty_table()
         ids = t["event_id"].to_numpy()
         side = t["side"].to_numpy()
         cents = t["cents"].to_numpy()
@@ -11489,13 +11226,7 @@ def q_new_user_rate_daily(sf_dir: str):
             }
         )
 
-    _part_schema = pa.schema(
-        [("day", pa.int64()), ("n", pa.int64()), ("n_new", pa.int64())]
-    )
-
     def _per_user(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _part_schema.empty_table()
         u = t["user_id"].to_numpy()
         d = t["day"].to_numpy()
         uniq = np.unique(np.stack([u, d], axis=1), axis=0)
@@ -11577,8 +11308,6 @@ def q_key_skew_report(sf_dir: str):
     )
 
     def _bucketize(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _bucket_schema.empty_table()
         g = _pa_group_sum(t, ["user_id"], ["cnt"])
         cnt = g["cnt"].to_numpy()
         bucket = (np.frexp(cnt.astype(np.float64))[1] - 1).astype(np.int64)
@@ -12010,18 +11739,7 @@ def q_nucleus_select_docs(sf_dir: str):
     kept = feats.map_batches(_route(1), batch_format="pyarrow")
     boundary = feats.map_batches(_route(2), batch_format="pyarrow")
 
-    _schema = pa.schema(
-        [
-            ("doc_id", pa.int64()),
-            ("source", pa.string()),
-            ("quality", pa.int64()),
-            ("n_tokens", pa.int64()),
-        ]
-    )
-
     def _boundary_prefix(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _schema.empty_table()
         src = t["source"].to_numpy(zero_copy_only=False)
         ids = t["doc_id"].to_numpy()
         tok = t["n_tokens"].to_numpy()
@@ -12292,14 +12010,7 @@ def q_debounce_events(sf_dir: str):
 
     W_US = 1_800_000_000
 
-    _schema = pa.schema(
-        [("event_id", pa.int64()), ("user_id", pa.int64()),
-         ("ts", pa.timestamp("us"))]
-    )
-
     def _debounce(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _schema.empty_table()
         uid = t["user_id"].to_numpy()
         eid = t["event_id"].to_numpy()
         ts = t["ts"].cast(pa.int64()).to_numpy()
@@ -12400,14 +12111,8 @@ def q_time_in_state_by_type(sf_dir: str):
     exchange of slim (ts, event_id, type) rows; the partition kernel
     computes next-ts per row with a shifted compare (vectorized), then
     per-type int64 partials -> tiny merge."""
-    _part_schema = pa.schema(
-        [("event_type", pa.string()), ("dwell_us", pa.int64()),
-         ("n", pa.int64())]
-    )
 
     def _dwell(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _part_schema.empty_table()
         uid = t["user_id"].to_numpy()
         eid = t["event_id"].to_numpy()
         ts = t["ts"].cast(pa.int64()).to_numpy()
@@ -12626,8 +12331,6 @@ def q_late_supplier_blame(sf_dir: str):
     _part_schema = pa.schema([("suppkey", pa.int64()), ("numwait", pa.int64())])
 
     def _blame(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _part_schema.empty_table()
         okey = t["okey"].to_numpy()
         supp = t["suppkey"].to_numpy()
         ship = t["ship_us"].to_numpy()
@@ -12743,7 +12446,6 @@ def q_fk_integrity_audit(sf_dir: str):
         li.map_batches(_tag("l_orderkey", 1), batch_format="pyarrow")
     )
 
-    _part_schema = pa.schema([("chk", pa.string()), ("n", pa.int64())])
     _CHECKS = [
         "orphan_lineitems",
         "orphan_lineitem_keys",
@@ -12754,8 +12456,6 @@ def q_fk_integrity_audit(sf_dir: str):
     ]
 
     def _audit(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _part_schema.empty_table()
         okey = t["okey"].to_numpy()
         side = t["side"].to_numpy().astype(np.int64)
         order = np.argsort(okey, kind="stable")
@@ -12853,11 +12553,7 @@ def q_window_funnel_levels(sf_dir: str):
             }
         )
 
-    _schema = pa.schema([("user_id", pa.int64()), ("funnel_level", pa.int64())])
-
     def _funnel(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _schema.empty_table()
         uid = t["user_id"].to_numpy()
         ts = t["ts_us"].to_numpy()
         prio = t["prio"].to_numpy()
@@ -13042,8 +12738,6 @@ def q_source_overlap_matrix(sf_dir: str):
     )
 
     def _expand(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _out_schema.empty_table()
         # distinct (gram, source) after the exchange
         gb, src = grams.distinct(
             grams.binary_view(t["gram"]), t["source"].to_numpy(zero_copy_only=False)
@@ -13143,17 +12837,7 @@ def q_time_to_purchase_by_cohort(sf_dir: str):
             }
         )
 
-    _user_schema = pa.schema(
-        [
-            ("cohort_week", pa.int64()),
-            ("converted", pa.int64()),
-            ("tte_us", pa.int64()),
-        ]
-    )
-
     def _per_user(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _user_schema.empty_table()
         uid = t["user_id"].to_numpy()
         ts = t["ts_us"].to_numpy()
         isp = t["is_purch"].to_numpy().astype(bool)
@@ -13178,19 +12862,7 @@ def q_time_to_purchase_by_cohort(sf_dir: str):
             }
         )
 
-    _out_schema = pa.schema(
-        [
-            ("cohort_week", pa.int64()),
-            ("n_signups", pa.int64()),
-            ("n_converted", pa.int64()),
-            ("median_tte_us", pa.int64()),
-            ("conversion_rate", pa.float64()),
-        ]
-    )
-
     def _per_cohort(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _out_schema.empty_table()
         cw = t["cohort_week"].to_numpy()
         conv = t["converted"].to_numpy()
         tte = t["tte_us"].to_numpy()
@@ -13271,13 +12943,7 @@ def q_shingle_novelty_docs(sf_dir: str):
         gv, did = grams.distinct(grams.window_values(cp, first, K), ids[doc])
         return pa.table({"gram": grams.to_binary(gv), "doc_id": pa.array(did, pa.int64())})
 
-    _part_schema = pa.schema(
-        [("doc_id", pa.int64()), ("n", pa.int64()), ("novel", pa.int64())]
-    )
-
     def _first_owner(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _part_schema.empty_table()
         gb, did = grams.distinct(grams.binary_view(t["gram"]), t["doc_id"].to_numpy())
         starts = sg.segment_starts(gb)
         is_first = np.zeros(len(gb), np.int64)
@@ -13291,18 +12957,7 @@ def q_shingle_novelty_docs(sf_dir: str):
         )
         return _pa_group_sum(t2, ["doc_id"], ["n", "novel"])
 
-    _out_schema = pa.schema(
-        [
-            ("doc_id", pa.int64()),
-            ("n_shingles", pa.int64()),
-            ("n_novel", pa.int64()),
-            ("novelty", pa.float64()),
-        ]
-    )
-
     def _per_doc(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _out_schema.empty_table()
         g = _pa_group_sum(t, ["doc_id"], ["n", "novel"])
         n = g["n"].to_numpy()
         nov = g["novel"].to_numpy()
@@ -13531,11 +13186,7 @@ def q_dense_user_ids(sf_dir: str):
         u = np.unique(batch["user_id"].to_numpy())
         return pa.table({"user_id": pa.array(u, pa.int64())})
 
-    _d_schema = pa.schema([("user_id", pa.int64()), ("bucket", pa.int64())])
-
     def _dedup(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _d_schema.empty_table()
         u = np.unique(t["user_id"].to_numpy())
         return pa.table(
             {
@@ -13574,11 +13225,7 @@ def q_dense_user_ids(sf_dir: str):
         )
     )
 
-    _o_schema = pa.schema([("user_id", pa.int64()), ("dense_id", pa.int64())])
-
     def _rank(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _o_schema.empty_table()
         u = t["user_id"].to_numpy()
         b = t["bucket"].to_numpy()
         order = np.lexsort((u, b))
@@ -13639,21 +13286,8 @@ def q_dataset_card_by_source_lang(sf_dir: str):
     exact divisions."""
     docs = _rp(sf_dir, "documents", ["doc_id", "source", "lang", "text"])
 
-    _dup_schema = pa.schema(
-        [
-            ("source", pa.string()),
-            ("lang", pa.string()),
-            ("n", pa.int64()),
-            ("chars", pa.int64()),
-            ("tokens", pa.int64()),
-            ("dups", pa.int64()),
-        ]
-    )
-
     def _mark(t: pa.Table) -> pa.Table:
         # co-located by text: copy count = group size
-        if t.num_rows == 0:
-            return _dup_schema.empty_table()
         txt = t["text"].to_numpy(zero_copy_only=False)
         order = np.argsort(txt, kind="stable")
         txt_s = txt[order]
@@ -13767,19 +13401,7 @@ def q_order_total_reconciliation(sf_dir: str):
         li.map_batches(_l, batch_format="pyarrow")
     )
 
-    _part_schema = pa.schema(
-        [
-            ("n_orders", pa.int64()),
-            ("n_exact", pa.int64()),
-            ("n_mismatch", pa.int64()),
-            ("max_abs_diff_cents", pa.int64()),
-            ("sum_abs_diff_cents", pa.int64()),
-        ]
-    )
-
     def _recon(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _part_schema.empty_table()
         okey = t["okey"].to_numpy()
         cents = t["cents"].to_numpy()
         side = t["side"].to_numpy().astype(np.int64)
@@ -13897,13 +13519,7 @@ def q_dau_wau_stickiness(sf_dir: str):
     )
     dmin, dmax = int(mm["dmin"].min()), int(mm["dmax"].max())
 
-    _part_schema = pa.schema(
-        [("day", pa.int64()), ("dau", pa.int64()), ("wau", pa.int64())]
-    )
-
     def _votes(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _part_schema.empty_table()
         u = t["user_id"].to_numpy()
         d = t["day"].to_numpy()
         uniq = np.unique(np.stack([u, d], axis=1), axis=0)
@@ -14154,14 +13770,7 @@ def q_quantile_normalize_chars(sf_dir: str):
     n_total = int(gcum[-1]) if len(gcum) else 0
     ref = _ray.put((gvals, gcum, n_total))
 
-    _schema = pa.schema(
-        [("doc_id", pa.int64()), ("n_chars", pa.int64()),
-         ("norm_chars", pa.int64())]
-    )
-
     def _rank_and_map(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _schema.empty_table()
         vals, cum, n = _ray.get(ref)
         src = t["source"].to_numpy(zero_copy_only=False)
         did = t["doc_id"].to_numpy()
@@ -14317,11 +13926,7 @@ def q_oov_rate_docs(sf_dir: str):
             }
         )
 
-    _df_schema = pa.schema([("w", pa.string()), ("df", pa.int64())])
-
     def _local_topk(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _df_schema.empty_table()
         g = _pa_group_sum(t, ["w"], ["df"])  # complete token groups here
         w = g["w"].to_numpy(zero_copy_only=False)
         dfv = g["df"].to_numpy()
@@ -14634,13 +14239,8 @@ def q_session_length_hist(sf_dir: str):
     Plan: the sessionize exchange already co-locates each user's rows;
     per-partition (user, session) counts reduce to (len, n) partials
     (sessions never span partition groups), merged by one tiny sum."""
-    _part_schema = pa.schema(
-        [("session_len", pa.int64()), ("n_sessions", pa.int64())]
-    )
 
     def _hist(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _part_schema.empty_table()
         uid = t["user_id"].to_numpy()
         eid = t["event_id"].to_numpy()
         ts = t["ts"].cast(pa.int64()).to_numpy()

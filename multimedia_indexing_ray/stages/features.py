@@ -177,7 +177,6 @@ def compute_features(
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
     include_text: bool = False,
     pack_vector: bool = False,
-    shuffle_strategy: str = "sort",
     split_hot: bool = False,
     hot_threshold: int = 20_000,
     target_chunk_rows: int = 10_000,
@@ -212,9 +211,7 @@ def compute_features(
         if not plan.empty:
             pre = assign_chunks(pre, plan)
             part_key = ["conv_id", CHUNK_COL]
-    return map_partitions_by_key(
-        pre, part_key, kernel, num_partitions=num_partitions, strategy=shuffle_strategy
-    )
+    return map_partitions_by_key(pre, part_key, kernel, num_partitions=num_partitions)
 
 
 def normalize_feature_blocks(

@@ -1,22 +1,23 @@
-"""Generic keyed temporal operators over any (key, ts) table.
+"""One sorted, segmented scan per key over any keyed table.
 
 The transcript feature engine (stages/features.py) is specialised to the
-transcript schema; these are the same segmented kernels exposed over an
-arbitrary keyed event table — one hash-partition shuffle on the key, then
-vectorized per-partition numpy (SURVEY.md §2.5 A1 "sort-within-partition +
-vectorized segmented reduction" mapping).
+transcript schema; `keyed_scan` is the same plan for an arbitrary keyed
+table: one keyed exchange, then each partition group sorted by
+``(key, *order)`` and handed to a vectorized numpy body together with
+the row index where each key's run starts (SURVEY.md §2.5 A1
+"sort-within-partition + vectorized segmented reduction" mapping).  The
+window and session helpers below are the pieces those bodies repeat.
 
-Integer outputs are int64 and time deltas stay in microseconds so results
-are bit-identical to a SQL oracle (no float round-trips).
+Time deltas stay in integer microseconds so results are bit-identical to
+a SQL oracle (no float round-trips).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray.data
 
@@ -26,712 +27,50 @@ from multimedia_indexing_ray.stages.partition import (
     map_partitions_by_key,
 )
 
-_US = 1_000_000
 
-
-def _sort_table(table: pa.Table, key: str, on: str, tiebreak: Optional[str]) -> pa.Table:
-    keys = [(key, "ascending"), (on, "ascending")]
-    if tiebreak:
-        keys.append((tiebreak, "ascending"))
-    return table.take(pc.sort_indices(table, sort_keys=keys))
-
-
-def _codes(table: pa.Table, key: str) -> np.ndarray:
-    return pc.dictionary_encode(table[key].combine_chunks()).indices.to_numpy()
-
-
-def _ts_us(table: pa.Table, on: str) -> np.ndarray:
-    return table[on].cast(pa.int64()).to_numpy()
-
-
-def keyed_turn_features(
+def keyed_scan(
     ds: "ray.data.Dataset",
     key: str,
-    on: str,
-    tiebreak: Optional[str] = None,
-    id_cols: Sequence[str] = (),
+    order: Sequence[str],
+    body: Callable[[pa.Table, np.ndarray], pa.Table],
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
 ) -> "ray.data.Dataset":
-    """Per-row gap_us (0 at first row of key) and rn (0-based row number
-    under (key, on, tiebreak) ordering)."""
+    """Exchange `ds` on `key`, sort each partition group by
+    ``(key, *order)`` and return ``body(t, starts)`` per group.
+
+    `t` is the sorted, non-empty group; `starts` holds the first row of
+    each key's run (int64, ascending, ``starts[0] == 0``).  Every key's
+    rows are in one call, so a body may scan across a whole key.  The
+    sort is stable: rows that tie on every sort column keep their input
+    order."""
+    sort_keys = [(c, "ascending") for c in (key, *order)]
 
     def kernel(table: pa.Table) -> pa.Table:
-        t = _sort_table(table, key, on, tiebreak)
-        codes = _codes(t, key)
-        starts = sg.segment_starts(codes)
-        gap = sg.seg_gap_us(_ts_us(t, on), starts)
-        rn = sg.rel_index(starts, t.num_rows)
-        cols = {c: t[c] for c in [*id_cols, key] if c in t.column_names}
-        cols["gap_us"] = pa.array(gap, pa.int64())
-        cols["rn"] = pa.array(rn, pa.int64())
-        return pa.table(cols)
+        t = table.sort_by(sort_keys)
+        return body(t, sg.segment_starts(t[key].to_numpy()))
 
     return map_partitions_by_key(ds, key, kernel, num_partitions)
 
 
-def keyed_sessionize(
-    ds: "ray.data.Dataset",
-    key: str,
-    on: str,
-    gap_s: float,
-    tiebreak: Optional[str] = None,
-    id_cols: Sequence[str] = (),
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
-) -> "ray.data.Dataset":
-    """0-based session ordinal per key; new session iff gap STRICTLY
-    exceeds the threshold (inactivity-gap sessionization)."""
-    thr_us = int(gap_s * _US)
-
-    def kernel(table: pa.Table) -> pa.Table:
-        t = _sort_table(table, key, on, tiebreak)
-        codes = _codes(t, key)
-        starts = sg.segment_starts(codes)
-        gap = sg.seg_gap_us(_ts_us(t, on), starts)
-        bound = sg.session_boundaries(gap.astype(np.float64), starts, float(thr_us))
-        gid = sg.group_index(bound)
-        conv_bound = np.zeros(t.num_rows, dtype=bool)
-        conv_bound[starts] = True
-        gid0 = gid[sg.group_start_rows(conv_bound)]
-        cols = {c: t[c] for c in [*id_cols, key] if c in t.column_names}
-        cols["session_id"] = pa.array((gid - gid0).astype(np.int64), pa.int64())
-        return pa.table(cols)
-
-    return map_partitions_by_key(ds, key, kernel, num_partitions)
-
-
-def keyed_lag_lead(
-    ds: "ray.data.Dataset",
-    key: str,
-    on: str,
-    value_col: str,
-    lags: Sequence[int] = (1,),
-    leads: Sequence[int] = (),
-    fill: float = 0.0,
-    tiebreak: Optional[str] = None,
-    id_cols: Sequence[str] = (),
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
-) -> "ray.data.Dataset":
-    def kernel(table: pa.Table) -> pa.Table:
-        t = _sort_table(table, key, on, tiebreak)
-        codes = _codes(t, key)
-        starts = sg.segment_starts(codes)
-        x = t[value_col].cast(pa.float64()).to_numpy()
-        cols = {c: t[c] for c in [*id_cols, key] if c in t.column_names}
-        for k in lags:
-            cols[f"lag{k}_{value_col}"] = pa.array(sg.seg_lag(x, starts, k, fill))
-        for k in leads:
-            cols[f"lead{k}_{value_col}"] = pa.array(sg.seg_lead(x, starts, k, fill))
-        return pa.table(cols)
-
-    return map_partitions_by_key(ds, key, kernel, num_partitions)
-
-
-def keyed_backfill(
-    ds: "ray.data.Dataset",
-    key: str,
-    on: str,
-    value_col: str,
-    where_col: str,
-    where_value: str,
-    out_col: str,
-    fill: float = 0.0,
-    tiebreak: Optional[str] = None,
-    id_cols: Sequence[str] = (),
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
-) -> "ray.data.Dataset":
-    """Carry forward the last value where ``where_col == where_value``
-    (the backfill/fill-forward primitive)."""
-
-    def kernel(table: pa.Table) -> pa.Table:
-        t = _sort_table(table, key, on, tiebreak)
-        codes = _codes(t, key)
-        starts = sg.segment_starts(codes)
-        x = t[value_col].cast(pa.float64()).to_numpy(zero_copy_only=False)
-        valid = pc.equal(t[where_col], where_value).to_numpy(zero_copy_only=False)
-        valid = np.asarray(valid, dtype=bool)
-        cols = {c: t[c] for c in [*id_cols, key] if c in t.column_names}
-        cols[out_col] = pa.array(sg.seg_ffill(x, valid, starts, fill))
-        return pa.table(cols)
-
-    return map_partitions_by_key(ds, key, kernel, num_partitions)
-
-
-def keyed_sliding(
-    ds: "ray.data.Dataset",
-    key: str,
-    on: str,
-    value_col: str,
-    width_s: float,
-    closed: str = "both",
-    tiebreak: Optional[str] = None,
-    id_cols: Sequence[str] = (),
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
-) -> "ray.data.Dataset":
-    """Per-row sliding count + sum over the trailing window.
-
-    closed="both" matches SQL ``RANGE BETWEEN width PRECEDING AND CURRENT
-    ROW`` (peer rows with equal ts are all included)."""
-    width_us = int(width_s * _US)
-
-    def kernel(table: pa.Table) -> pa.Table:
-        t = _sort_table(table, key, on, tiebreak)
-        codes = _codes(t, key)
-        starts = sg.segment_starts(codes)
-        ts = _ts_us(t, on)
-        adj = sg.adjusted_ts(ts, starts, width_us + 1)
-        hi = sg.visible_hi(adj)
-        lo = sg.sliding_lo(adj, width_us, closed)
-        x = t[value_col].cast(pa.float64()).to_numpy(zero_copy_only=False)
-        vals = np.stack([np.ones_like(x), x], axis=1)
-        sums = sg.range_sums(sg.prefix_sums(vals), lo, hi)
-        cols = {c: t[c] for c in [*id_cols, key] if c in t.column_names}
-        cols[f"cnt_{value_col}"] = pa.array(sums[:, 0].astype(np.int64), pa.int64())
-        cols[f"sum_{value_col}"] = pa.array(sums[:, 1])
-        return pa.table(cols)
-
-    return map_partitions_by_key(ds, key, kernel, num_partitions)
-
-
-def keyed_sliding_minmax(
-    ds: "ray.data.Dataset",
-    key: str,
-    on: str,
-    value_col: str,
-    width_s: float,
-    closed: str = "both",
-    tiebreak: Optional[str] = None,
-    id_cols: Sequence[str] = (),
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
-) -> "ray.data.Dataset":
-    """Per-row min/max of ``value_col`` over the trailing time window —
-    the ordered-extrema sibling of :func:`keyed_sliding` (sparse-table
-    RMQ instead of prefix sums; see ``segments.range_minmax``).  Window
-    semantics are identical: closed="both" == SQL ``RANGE BETWEEN width
-    PRECEDING AND CURRENT ROW``.  Min/max SELECT an input double, so the
-    result is bit-exact vs any SQL engine with no quantization tricks."""
-    width_us = int(width_s * _US)
-
-    def kernel(table: pa.Table) -> pa.Table:
-        t = _sort_table(table, key, on, tiebreak)
-        codes = _codes(t, key)
-        starts = sg.segment_starts(codes)
-        ts = _ts_us(t, on)
-        adj = sg.adjusted_ts(ts, starts, width_us + 1)
-        hi = sg.visible_hi(adj)
-        lo = sg.sliding_lo(adj, width_us, closed)
-        x = t[value_col].cast(pa.float64()).to_numpy(zero_copy_only=False)
-        mn, mx = sg.range_minmax(x, lo, hi)
-        cols = {c: t[c] for c in [*id_cols, key] if c in t.column_names}
-        cols[f"min_{value_col}"] = pa.array(mn)
-        cols[f"max_{value_col}"] = pa.array(mx)
-        return pa.table(cols)
-
-    return map_partitions_by_key(ds, key, kernel, num_partitions)
-
-
-def keyed_sliding_median(
-    ds: "ray.data.Dataset",
-    key: str,
-    on: str,
-    value_col: str,
-    width_s: float,
-    closed: str = "both",
-    tiebreak: Optional[str] = None,
-    id_cols: Sequence[str] = (),
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
-) -> "ray.data.Dataset":
-    """Per-row exact median of ``value_col`` over the trailing time window
-    — the HOLISTIC sibling of :func:`keyed_sliding` (sum/count) and
-    :func:`keyed_sliding_minmax` (extrema): medians decompose under
-    neither prefix sums nor sparse tables, so the kernel is the
-    mass-capped CSR-expand + single-lexsort ``segments.range_median``.
-    Window semantics are identical: closed="both" == SQL ``RANGE BETWEEN
-    width PRECEDING AND CURRENT ROW`` (equal-ts peers all included), and
-    the even-count rule matches DuckDB ``quantile_cont(0.5)`` bit-exactly
-    on doubles."""
-    width_us = int(width_s * _US)
-
-    def kernel(table: pa.Table) -> pa.Table:
-        t = _sort_table(table, key, on, tiebreak)
-        codes = _codes(t, key)
-        starts = sg.segment_starts(codes)
-        ts = _ts_us(t, on)
-        adj = sg.adjusted_ts(ts, starts, width_us + 1)
-        hi = sg.visible_hi(adj)
-        lo = sg.sliding_lo(adj, width_us, closed)
-        x = t[value_col].cast(pa.float64()).to_numpy(zero_copy_only=False)
-        med = sg.range_median(x, lo, hi)
-        cols = {c: t[c] for c in [*id_cols, key] if c in t.column_names}
-        cols[f"median_{value_col}"] = pa.array(med)
-        return pa.table(cols)
-
-    return map_partitions_by_key(ds, key, kernel, num_partitions)
-
-
-def keyed_sliding_quantile(
-    ds: "ray.data.Dataset",
-    key: str,
-    on: str,
-    value_col: str,
-    width_s: float,
-    q_pct: int,
-    closed: str = "both",
-    tiebreak: Optional[str] = None,
-    id_cols: Sequence[str] = (),
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
-) -> "ray.data.Dataset":
-    """Per-row exact DISCRETE quantile (``q_pct`` percent) of
-    ``value_col`` over the trailing time window — like
-    :func:`keyed_sliding_median` but selecting the input element at
-    sorted index ``ceil(q*m)`` (``segments.range_quantile_disc``), so
-    the result is bit-identical to SQL ``quantile_disc`` with no
-    interpolation hazard."""
-    width_us = int(width_s * _US)
-
-    def kernel(table: pa.Table) -> pa.Table:
-        t = _sort_table(table, key, on, tiebreak)
-        codes = _codes(t, key)
-        starts = sg.segment_starts(codes)
-        ts = _ts_us(t, on)
-        adj = sg.adjusted_ts(ts, starts, width_us + 1)
-        hi = sg.visible_hi(adj)
-        lo = sg.sliding_lo(adj, width_us, closed)
-        x = t[value_col].cast(pa.float64()).to_numpy(zero_copy_only=False)
-        qv = sg.range_quantile_disc(x, lo, hi, q_pct)
-        cols = {c: t[c] for c in [*id_cols, key] if c in t.column_names}
-        cols[f"p{q_pct}_{value_col}"] = pa.array(qv)
-        return pa.table(cols)
-
-    return map_partitions_by_key(ds, key, kernel, num_partitions)
-
-
-def keyed_sliding_corr_lag1(
-    ds: "ray.data.Dataset",
-    key: str,
-    on: str,
-    value_col: str,
-    width_s: float,
-    closed: str = "both",
-    tiebreak: Optional[str] = None,
-    id_cols: Sequence[str] = (),
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
-) -> "ray.data.Dataset":
-    """Per-row Pearson correlation between ``value_col`` and its OWN
-    lag-1 (previous value of the same key under (on, tiebreak) order)
-    over the trailing time window — the bivariate second-moment window
-    family (trend persistence / autocorrelation feature) that univariate
-    sums, extrema, and order statistics cannot express.
-
-    ``value_col`` must hold EXACT integers (e.g. cents); the six window
-    sums (n, Σx, Σx², Σy, Σy², Σxy) are int64 prefix-sum differences —
-    exact in any association — and the final correlation is one fixed
-    IEEE-754 expression tree over those exact integers::
-
-        (n·Sxy − Sx·Sy) / (√(n·Sxx − Sx²) · √(n·Syy − Sy²))
-
-    evaluated identically by the SQL oracle (same casts, same
-    parenthesization), so DOUBLE results are bit-exact with no
-    quantization tricks.  Rows with no lag (first of key) contribute to
-    no window; zero-variance / n<2 windows emit 0.0 on both sides.  ONE
-    shuffle on the key; window bounds ride the shared adjusted-ts axis
-    (`functions/segments.py:adjusted_ts`)."""
-    width_us = int(width_s * _US)
-
-    def kernel(table: pa.Table) -> pa.Table:
-        t = _sort_table(table, key, on, tiebreak)
-        n = t.num_rows
-        id_keep = [c for c in [*id_cols, key] if c in t.column_names]
-        if n == 0:
-            cols = {c: t[c] for c in id_keep}
-            cols["n_pairs"] = pa.array([], pa.int64())
-            cols[f"corr_lag1_{value_col}"] = pa.array([], pa.float64())
-            return pa.table(cols)
-        codes = _codes(t, key)
-        starts = sg.segment_starts(codes)
-        ts = _ts_us(t, on)
-        adj = sg.adjusted_ts(ts, starts, width_us + 1)
-        hi = sg.visible_hi(adj)
-        lo = sg.sliding_lo(adj, width_us, closed)
-        x = t[value_col].cast(pa.float64()).to_numpy(zero_copy_only=False)
-        x64 = np.rint(x).astype(np.int64)
-        y64 = np.zeros_like(x64)
-        y64[1:] = x64[:-1]
-        y64[starts] = 0
-        v = np.ones(n, dtype=np.int64)
-        v[starts] = 0  # first row of each key has no lag pair
-        xv = x64 * v
-        blocks = np.stack([v, xv, xv * x64, y64, y64 * y64, xv * y64], axis=1)
-        s = sg.range_sums(sg.prefix_sums_int(blocks), lo, hi)
-        nn = s[:, 0].astype(np.float64)
-        sx = s[:, 1].astype(np.float64)
-        sxx = s[:, 2].astype(np.float64)
-        sy = s[:, 3].astype(np.float64)
-        syy = s[:, 4].astype(np.float64)
-        sxy = s[:, 5].astype(np.float64)
-        vx = nn * sxx - sx * sx
-        vy = nn * syy - sy * sy
-        cov = nn * sxy - sx * sy
-        with np.errstate(invalid="ignore", divide="ignore"):
-            corr = cov / (np.sqrt(vx) * np.sqrt(vy))
-        corr = np.where((vx > 0) & (vy > 0), corr, 0.0)
-        cols = {c: t[c] for c in id_keep}
-        cols["n_pairs"] = pa.array(s[:, 0], pa.int64())
-        cols[f"corr_lag1_{value_col}"] = pa.array(corr, pa.float64())
-        return pa.table(cols)
-
-    return map_partitions_by_key(ds, key, kernel, num_partitions)
-
-
-def keyed_expanding_zscore(
-    ds: "ray.data.Dataset",
-    key: str,
-    on: str,
-    value_col: str,
-    tiebreak: Optional[str] = None,
-    id_cols: Sequence[str] = (),
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
-) -> "ray.data.Dataset":
-    """Point-in-time EXPANDING standardization: each row's z-score
-    against the key's STRICTLY-PRIOR history (rows before it under
-    (on, tiebreak) order) — the leakage-free form of `zscore` (which
-    uses the key's full history and would leak future moments into a
-    training feature).
-
-    ``value_col`` must hold exact integers (cents).  Prior (n, Σc, Σc²)
-    are int64 prefix-sum differences — exact — and the z-score uses the
-    population-variance identity
-
-        z = (n·c − Σc) / √(n·Σc² − (Σc)²)
-
-    one fixed IEEE-754 expression tree over exact integers, written
-    identically in the SQL oracle, so DOUBLE output is bit-exact.
-    Rows with n<2 prior observations or zero prior variance emit 0.0.
-    ONE shuffle on the key."""
-
-    def kernel(table: pa.Table) -> pa.Table:
-        t = _sort_table(table, key, on, tiebreak)
-        n = t.num_rows
-        id_keep = [c for c in [*id_cols, key] if c in t.column_names]
-        if n == 0:
-            cols = {c: t[c] for c in id_keep}
-            cols["n_prior"] = pa.array([], pa.int64())
-            cols[f"z_pit_{value_col}"] = pa.array([], pa.float64())
-            return pa.table(cols)
-        codes = _codes(t, key)
-        starts = sg.segment_starts(codes)
-        x = t[value_col].cast(pa.float64()).to_numpy(zero_copy_only=False)
-        c64 = np.rint(x).astype(np.int64)
-        P = sg.prefix_sums_int(np.stack([c64, c64 * c64], axis=1))
-        counts = sg.segment_counts(starts, n)
-        seg0 = np.repeat(starts, counts)  # first row index of each row's key
-        rel = sg.rel_index(starts, n).astype(np.int64)  # = n_prior
-        sx = (P[np.arange(n), 0] - P[seg0, 0]).astype(np.float64)
-        sxx = (P[np.arange(n), 1] - P[seg0, 1]).astype(np.float64)
-        nn = rel.astype(np.float64)
-        cf = c64.astype(np.float64)
-        var = nn * sxx - sx * sx
-        with np.errstate(invalid="ignore", divide="ignore"):
-            z = (nn * cf - sx) / np.sqrt(var)
-        z = np.where((rel >= 2) & (var > 0), z, 0.0)
-        cols = {c: t[c] for c in id_keep}
-        cols["n_prior"] = pa.array(rel, pa.int64())
-        cols[f"z_pit_{value_col}"] = pa.array(z, pa.float64())
-        return pa.table(cols)
-
-    return map_partitions_by_key(ds, key, kernel, num_partitions)
-
-
-def _grid_ticks(ts: np.ndarray, starts: np.ndarray, counts: np.ndarray, step_us: int):
-    """Epoch-aligned grid ticks in [ceil_align(first ts), last ts] for
-    every key segment of a sorted partition, in one arange.  Returns
-    (seg_index_per_tick, tick_us) — empty arrays when no key spans a
-    tick."""
-    t0 = ts[starts]
-    t1 = ts[starts + counts - 1]
-    g0 = -(-t0 // step_us) * step_us  # ceil-align to the epoch grid
-    nt = np.maximum((t1 - g0) // step_us + 1, 0)
-    total = int(nt.sum())
-    if total == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e
-    seg = np.repeat(np.arange(len(starts), dtype=np.int64), nt)
-    cum = np.concatenate([[0], np.cumsum(nt)[:-1]])
-    tick = g0[seg] + (np.arange(total, dtype=np.int64) - np.repeat(cum, nt)) * step_us
-    return seg, tick
-
-
-def keyed_resample_interp(
-    ds: "ray.data.Dataset",
-    key: str,
-    on: str,
-    value_col: str,
-    step_s: float,
-    tiebreak: Optional[str] = None,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
-) -> "ray.data.Dataset":
-    """Regular-grid resample with LINEAR interpolation — the other
-    canonical resampling mode (ffill = step function for state-like
-    series; interp = piecewise-linear for level-like series).  For each
-    epoch-aligned tick: v0 = value of the last event at-or-before it
-    (equal-ts ties -> max ``tiebreak``), v1 = value of the first event
-    strictly after (ties -> min ``tiebreak``), and
-
-        interp = (v0·(t1−t) + v1·(t−t0)) / (t1−t0)
-
-    with the cross-products computed in EXACT int64 (``value_col`` must
-    be exact integers, e.g. cents; |v|·span_us must stay below 2**63)
-    and the division as one shared IEEE-754 expression, mirrored by the
-    SQL oracle — bit-exact DOUBLEs.  Ticks past the last event segment
-    carry v0 (no extrapolation); a tick ON an event reproduces that
-    event's value exactly (the formula degenerates to v0).  Same
-    single-shuffle, one-arange/one-searchsorted plan as
-    :func:`keyed_resample_ffill`."""
-    step_us = int(step_s * _US)
-
-    def kernel(table: pa.Table) -> pa.Table:
-        t = _sort_table(table, key, on, tiebreak)
-        n = t.num_rows
-
-        def _empty() -> pa.Table:
-            return pa.table(
-                {
-                    key: t[key].slice(0, 0),
-                    "tick": pa.array([], pa.timestamp("us")),
-                    f"interp_{value_col}": pa.array([], pa.float64()),
-                }
-            )
-
-        if n == 0:
-            return _empty()
-        codes = _codes(t, key)
-        starts = sg.segment_starts(codes)
-        counts = sg.segment_counts(starts, n)
-        ts = _ts_us(t, on)
-        seg, tick = _grid_ticks(ts, starts, counts, step_us)
-        if len(tick) == 0:
-            return _empty()
-        adj = sg.adjusted_ts(ts, starts, 1)
-        off = adj[starts] - ts[starts]
-        tick_adj = tick + off[seg]
-        i0 = np.searchsorted(adj, tick_adj, side="right") - 1  # last ts <= tick
-        i1 = np.searchsorted(adj, tick_adj, side="right")  # first ts > tick
-        seg_end = starts[seg] + counts[seg]  # one past the key's last row
-        has_next = i1 < seg_end
-        x = t[value_col].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        v0 = x[i0]
-        t0 = ts[i0]
-        i1c = np.minimum(i1, n - 1)
-        v1 = x[i1c]
-        t1 = ts[i1c]
-        # exact int64 cross-products; single cast + one division (shared
-        # IEEE tree with the oracle)
-        num = (v0 * (t1 - tick) + v1 * (tick - t0)).astype(np.float64)
-        den = (t1 - t0).astype(np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            interp = num / den
-        interp = np.where(has_next, interp, v0.astype(np.float64))
-        return pa.table(
-            {
-                key: t[key].take(pa.array(starts[seg], pa.int64())),
-                "tick": pa.array(tick, pa.timestamp("us")),
-                f"interp_{value_col}": pa.array(interp, pa.float64()),
-            }
-        )
-
-    return map_partitions_by_key(ds, key, kernel, num_partitions)
-
-
-def keyed_resample_ffill(
-    ds: "ray.data.Dataset",
-    key: str,
-    on: str,
-    value_col: str,
-    step_s: float,
-    tiebreak: Optional[str] = None,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
-) -> "ray.data.Dataset":
-    """Regular-grid time resample with forward fill — the batch
-    materialization of the as-of/backfill family: for each key, emit one
-    row per epoch-aligned grid tick in [ceil_align(first ts), last ts]
-    carrying the value of the LAST event at or before the tick (ties at
-    equal ts resolve to the largest ``tiebreak`` — last-write-wins,
-    mirrored by the oracle's ``arg_max``).  This is how a serving table
-    / training design matrix is laid onto a uniform clock.
-
-    Vectorized per partition: tick counts come from integer ceil-align
-    arithmetic, all ticks of all keys are generated in one arange, and
-    ONE searchsorted on the shared adjusted-ts axis maps every tick to
-    its as-of source row (ticks never precede the key's first event, so
-    a match always exists).  Output size is span/step per key — bounded
-    by wall-clock span, not row count; the single shuffle is on the key.
-    """
-    step_us = int(step_s * _US)
-
-    def kernel(table: pa.Table) -> pa.Table:
-        t = _sort_table(table, key, on, tiebreak)
-        n = t.num_rows
-
-        def _empty() -> pa.Table:
-            return pa.table(
-                {
-                    key: t[key].slice(0, 0),
-                    "tick": pa.array([], pa.timestamp("us")),
-                    f"last_{value_col}": t[value_col].slice(0, 0),
-                }
-            )
-
-        if n == 0:
-            return _empty()
-        codes = _codes(t, key)
-        starts = sg.segment_starts(codes)
-        counts = sg.segment_counts(starts, n)
-        ts = _ts_us(t, on)
-        seg, tick = _grid_ticks(ts, starts, counts, step_us)
-        if len(tick) == 0:
-            return _empty()
-        adj = sg.adjusted_ts(ts, starts, 1)
-        off = adj[starts] - ts[starts]
-        # side="right" - 1: last row with ts <= tick; equal-ts peers are
-        # sorted by tiebreak so the LAST (max tiebreak) wins.
-        idx = np.searchsorted(adj, tick + off[seg], side="right") - 1
-        return pa.table(
-            {
-                key: t[key].take(pa.array(starts[seg], pa.int64())),
-                "tick": pa.array(tick, pa.timestamp("us")),
-                f"last_{value_col}": t[value_col].take(pa.array(idx, pa.int64())),
-            }
-        )
-
-    return map_partitions_by_key(ds, key, kernel, num_partitions)
-
-
-def keyed_tumbling_agg(
-    ds: "ray.data.Dataset",
-    key: str,
-    on: str,
-    value_col: str,
-    width_s: float,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
-) -> "ray.data.Dataset":
-    """Grouped aggregate per (key, tumbling window): n, sum, mean.
-
-    The shuffle key stays the entity key — windows of one key never cross
-    partitions, so this is a partial-aggregation-free single pass
-    (pre-aggregation pattern: no second global shuffle needed)."""
-    width_us = int(width_s * _US)
-
-    def kernel(table: pa.Table) -> pa.Table:
-        t = _sort_table(table, key, on, None)
-        codes = _codes(t, key)
-        ts = _ts_us(t, on)
-        win = ts // width_us
-        n = t.num_rows
-        bound = np.zeros(n, dtype=bool)
-        if n:
-            bound[0] = True
-            bound[1:] = (codes[1:] != codes[:-1]) | (win[1:] != win[:-1])
-        gstarts = np.flatnonzero(bound)
-        x = t[value_col].cast(pa.float64()).to_numpy(zero_copy_only=False)
-        sums = np.add.reduceat(x, gstarts) if n else np.empty(0)
-        counts = np.diff(np.concatenate([gstarts, [n]])) if n else np.empty(0, np.int64)
-        cols = {
-            key: t[key].take(pa.array(gstarts)),
-            "window_start": pa.array((win[gstarts] * width_us), pa.int64()).cast(
-                pa.timestamp("us")
-            ),
-            "n_events": pa.array(counts.astype(np.int64), pa.int64()),
-            f"sum_{value_col}": pa.array(sums),
-            f"mean_{value_col}": pa.array(sums / counts if n else sums),
-        }
-        return pa.table(cols)
-
-    return map_partitions_by_key(ds, key, kernel, num_partitions)
-
-
-def keyed_session_stats(
-    ds: "ray.data.Dataset",
-    key: str,
-    on: str,
-    value_col: str,
-    gap_s: float,
-    tiebreak: Optional[str] = None,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
-) -> "ray.data.Dataset":
-    """Per (key, session): n_events, duration_us, sum, mean."""
-    thr_us = float(gap_s * _US)
-
-    def kernel(table: pa.Table) -> pa.Table:
-        t = _sort_table(table, key, on, tiebreak)
-        codes = _codes(t, key)
-        starts = sg.segment_starts(codes)
-        ts = _ts_us(t, on)
-        gap = sg.seg_gap_us(ts, starts)
-        bound = sg.session_boundaries(gap.astype(np.float64), starts, thr_us)
-        n = t.num_rows
-        gstarts = np.flatnonzero(bound)
-        gid = sg.group_index(bound)
-        conv_bound = np.zeros(n, dtype=bool)
-        conv_bound[starts] = True
-        gid0 = gid[sg.group_start_rows(conv_bound)]
-        session_id = (gid - gid0).astype(np.int64)
-        ends = np.concatenate([gstarts[1:], [n]]) if n else np.empty(0, np.int64)
-        x = t[value_col].cast(pa.float64()).to_numpy(zero_copy_only=False)
-        sums = np.add.reduceat(x, gstarts) if n else np.empty(0)
-        counts = (ends - gstarts).astype(np.int64) if n else np.empty(0, np.int64)
-        duration = ts[ends - 1] - ts[gstarts] if n else np.empty(0, np.int64)
-        cols = {
-            key: t[key].take(pa.array(gstarts)),
-            "session_id": pa.array(session_id[gstarts], pa.int64()),
-            "n_events": pa.array(counts, pa.int64()),
-            "duration_us": pa.array(duration, pa.int64()),
-            f"sum_{value_col}": pa.array(sums),
-            f"mean_{value_col}": pa.array(sums / counts if n else sums),
-        }
-        return pa.table(cols)
-
-    return map_partitions_by_key(ds, key, kernel, num_partitions)
-
-
-def keyed_sliding_mode(
-    ds: "ray.data.Dataset",
-    key: str,
-    on: str,
-    value_col: str,
-    width_s: float,
-    closed: str = "both",
-    tiebreak: Optional[str] = None,
-    id_cols: Sequence[str] = (),
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
-) -> "ray.data.Dataset":
-    """Per-row exact MODE of categorical ``value_col`` over the trailing
-    time window — the CATEGORICAL holistic sibling of
-    :func:`keyed_sliding_median` (the numeric ones): most frequent value,
-    ties broken alphabetically (``segments.range_mode``'s smallest-code
-    rule under a sorted factorization).  Same window semantics as every
-    sliding kernel here (closed="both" == SQL RANGE ... PRECEDING AND
-    CURRENT ROW with equal-ts peers included)."""
-    width_us = int(width_s * _US)
-
-    def kernel(table: pa.Table) -> pa.Table:
-        t = _sort_table(table, key, on, tiebreak)
-        codes = _codes(t, key)
-        starts = sg.segment_starts(codes)
-        ts = _ts_us(t, on)
-        adj = sg.adjusted_ts(ts, starts, width_us + 1)
-        hi = sg.visible_hi(adj)
-        lo = sg.sliding_lo(adj, width_us, closed)
-        vals = t[value_col].to_numpy(zero_copy_only=False)
-        cats, vcodes = np.unique(vals.astype(str), return_inverse=True)
-        mode_codes = sg.range_mode(vcodes, lo, hi)
-        # every window contains at least the current row, so -1 (empty)
-        # cannot occur under closed="both"; guard anyway for closed="right"
-        safe = np.maximum(mode_codes, 0)
-        mode_vals = cats[safe]
-        cols = {c: t[c] for c in [*id_cols, key] if c in t.column_names}
-        arr = pa.array(mode_vals, pa.string())
-        if (mode_codes < 0).any():
-            arr = pa.array(mode_vals, pa.string(), mask=(mode_codes < 0))
-        cols[f"mode_{value_col}"] = arr
-        return pa.table(cols)
-
-    return map_partitions_by_key(ds, key, kernel, num_partitions)
+def trailing_window(
+    ts_us: np.ndarray, starts: np.ndarray, width_us: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Rows ``[lo, hi)`` of each row's ``RANGE BETWEEN width PRECEDING
+    AND CURRENT ROW`` frame within its key: every row of the same key
+    with ``ts - width <= ts' <= ts``, equal-ts peers included, so
+    ``lo <= i < hi`` for every row i.  `ts_us` is sorted within each
+    key's run."""
+    adj = sg.adjusted_ts(ts_us, starts, width_us + 1)
+    return sg.sliding_lo(adj, width_us, "both"), sg.visible_hi(adj)
+
+
+def session_ids(ts_us: np.ndarray, starts: np.ndarray, gap_us: int) -> np.ndarray:
+    """0-based session ordinal of each row within its key: a new session
+    starts where the gap to the key's previous row STRICTLY exceeds
+    `gap_us` (inactivity-gap sessionization, integer-µs compare)."""
+    gap = sg.seg_gap_us(ts_us, starts)
+    bound = sg.session_boundaries(gap.astype(np.float64), starts, float(gap_us))
+    gid = sg.group_index(bound)
+    key_bound = np.zeros(len(ts_us), dtype=bool)
+    key_bound[starts] = True
+    return (gid - gid[sg.group_start_rows(key_bound)]).astype(np.int64)

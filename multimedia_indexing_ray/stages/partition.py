@@ -11,20 +11,16 @@ Hashing uses ``pandas.util.hash_array`` (SipHash-1-3 with a fixed key) —
 stable across processes, platforms and runs, so partition assignment (and
 therefore checkpoint manifests) are reproducible.
 
-Two shuffle strategies:
-- "sort" (default): ``groupby(part).map_groups`` — Ray Data's
-  sort-based pull shuffle; no extra actors, good for repeated small jobs.
-- "hash": ``Dataset.repartition(num_partitions, keys=[part])`` with
-  ``DataContext.shuffle_strategy=HASH_SHUFFLE`` — streaming hash shuffle,
-  preferred for very large inputs (enable on the session's DataContext
-  before building the pipeline).
+The exchange is Ray Data's sort-based pull shuffle,
+``groupby(part).map_groups``: no extra actors, and each partition group
+reaches its kernel as one Arrow table.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -105,17 +101,18 @@ def add_partition_column(
 
 def map_partitions_by_key(
     ds: "ray.data.Dataset",
-    key: str,
+    key,
     fn: Callable[[pa.Table], pa.Table],
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
-    strategy: str = "sort",
-    ray_remote_args: Optional[dict] = None,
 ) -> "ray.data.Dataset":
-    """Shuffle so all rows sharing `key` are in one group, then apply `fn`
-    to each whole partition group as a single Arrow table.
+    """Shuffle so all rows sharing `key` (a column name or a list of
+    them) are in one group, then apply `fn` to each whole partition group
+    as a single Arrow table.
 
-    `fn` receives the partition WITHOUT the internal part column and must
-    return an Arrow table (schema consistent across partitions).
+    `fn` is called once per non-empty partition group — never on an
+    empty table, and not at all for an empty input — and receives it
+    WITHOUT the internal part column.  It must return an Arrow table
+    (schema consistent across partitions).
     """
 
     def _apply(table: pa.Table) -> pa.Table:
@@ -128,11 +125,4 @@ def map_partitions_by_key(
         return fn(table.drop_columns([PART_COL]))
 
     with_part = add_partition_column(ds, key, num_partitions)
-    if strategy == "hash":
-        co = with_part.repartition(num_partitions, keys=[PART_COL])
-        return co.map_batches(
-            _apply, batch_format="pyarrow", batch_size=None, **(ray_remote_args or {})
-        )
-    return with_part.groupby(PART_COL).map_groups(
-        _apply, batch_format="pyarrow", **(ray_remote_args or {})
-    )
+    return with_part.groupby(PART_COL).map_groups(_apply, batch_format="pyarrow")

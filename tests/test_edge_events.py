@@ -119,6 +119,12 @@ QUERIES = [
     "mode_value_by_type",
     "wow_growth_by_type",
     "session_length_hist",
+    "turn_features",
+    "backfill_purchase",
+    "session_funnel",
+    "rolling_median_1h",
+    "rolling_p90_1h",
+    "rolling_mode_1h",
 ]
 
 
