@@ -121,14 +121,16 @@ def debounce_frontier(
     suppress-repeats rule (alert dedup, at-most-one-per-cooldown
     emission).  Unlike sessionize (whose break depends only on the
     PREVIOUS row's gap, hence one vectorized cumsum), the debounce
-    recurrence depends on the last *kept* row, so it is genuinely
-    sequential per key; like `pack_next_fit` above it still vectorizes
-    as a FRONTIER sweep across all groups simultaneously: each pass
-    keeps every group's first unresolved event and resolves (drops)
-    the events inside its window, so passes = max kept-per-group and
-    each pass is one O(remaining) numpy sweep.  ``grp`` must be
-    nondecreasing; rows within a group must be in (ts, tiebreak)
-    order.  Returns the boolean keep mask aligned to the input rows.
+    recurrence depends on the last *kept* row, so it is sequential per
+    key.  It still vectorizes: each row's successor ``next[i]`` (the
+    first later row of its group at least ``window`` after it) comes
+    from one batched binary search, and the kept rows are exactly the
+    successor chain from each group's first row, marked by pointer
+    doubling.  Both take O(log n) numpy passes, so the kernel is
+    O(n log n) whatever the data (one hot key with sparse events
+    included).  ``grp`` must be nondecreasing; rows within a group must
+    be in (ts, tiebreak) order.  Returns the boolean keep mask aligned
+    to the input rows.
     """
     rows = len(ts)
     if rows == 0:
@@ -136,20 +138,28 @@ def debounce_frontier(
     if np.any(np.diff(grp) < 0):
         raise ValueError("debounce_frontier requires grp to be nondecreasing")
     t = ts.astype(np.int64, copy=False)
-    w = np.int64(window)
-    kept = np.zeros(rows, bool)
-    unresolved = np.ones(rows, bool)
+    starts = np.flatnonzero(np.r_[True, grp[1:] != grp[:-1]])
+    end = np.repeat(np.r_[starts[1:], rows], np.diff(np.r_[starts, rows]))
+    # next[i] = searchsorted(t[i+1:end], t[i] + window) within the group
+    target = t + np.int64(window)
+    lo = np.arange(1, rows + 1)
+    hi = end.copy()
     while True:
-        idx = np.flatnonzero(unresolved)
-        if idx.size == 0:
+        live = lo < hi
+        if not live.any():
             break
-        g = grp[idx]
-        tt = t[idx]
-        starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
-        first_t = np.repeat(tt[starts], np.diff(np.r_[starts, idx.size]))
-        is_first = np.zeros(idx.size, bool)
-        is_first[starts] = True
-        kept[idx[is_first]] = True
-        resolve = is_first | (tt < first_t + w)
-        unresolved[idx[resolve]] = False
-    return kept
+        mid = (lo + hi) // 2
+        below = live & (t[np.minimum(mid, rows - 1)] < target)
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(live & ~below, mid, hi)
+    # row `rows` is the chain end: it jumps to itself
+    jump = np.r_[np.where(lo < end, lo, rows), rows]
+    kept = np.zeros(rows + 1, bool)
+    kept[starts] = True
+    # invariant: kept = chain rows within 2^k steps of a start, jump = next^(2^k)
+    while True:
+        kept[jump[np.flatnonzero(kept)]] = True
+        if (jump[:rows] == rows).all():
+            break
+        jump = jump[jump]
+    return kept[:rows]

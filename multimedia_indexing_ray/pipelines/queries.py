@@ -47,6 +47,7 @@ from multimedia_indexing_ray.stages.partition import (
     DUPSPAN_DOCS,
     VOCAB_ROWS,
     fits,
+    gather,
     map_partitions_by_key,
     partition_ids,
 )
@@ -125,27 +126,24 @@ def _pa_group_sum(table: pa.Table, keys: "list[str]", sum_cols: "list[str]") -> 
 
 
 def _tiny_group_sum(
-    ds: "ray.data.Dataset", keys: "list[str]", sum_cols: "list[str]"
+    ds: "ray.data.Dataset",
+    keys: "list[str]",
+    sum_cols: "list[str]",
+    finish: Callable[[pa.Table], pa.Table] = lambda g: g,
 ) -> "ray.data.Dataset":
     """Grouped sum for a LOW-cardinality key (O(100s) of groups, e.g.
-    return-flag or event-type rollups): per-batch Arrow combiner, then
-    coalesce the <=|groups|-row partials into one block and sum in-block.
+    return-flag or event-type rollups) through `gather`: a per-batch
+    Arrow combiner, then one in-block sum over the coalesced partials,
+    handed to `finish` (the same single call, so it sees every group).
     Skips the sort-based groupby exchange entirely — at 32 cpus/sf0.1
     that all-to-all costs ~1-2s of pure fixed overhead for a handful of
     result rows (A/B in region_revenue: 3.8s -> 2.4s).  NOT for
     high-cardinality keys: the gathered partials are |groups| x n_blocks
     rows and must fit one block."""
-
-    def _partial(batch: pa.Table) -> pa.Table:
-        return _pa_group_sum(batch.select([*keys, *sum_cols]), keys, sum_cols)
-
-    def _final(batch: pa.Table) -> pa.Table:
-        return _pa_group_sum(batch, keys, sum_cols)
-
-    return (
-        ds.map_batches(_partial, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(_final, batch_format="pyarrow", batch_size=None)
+    return gather(
+        ds,
+        lambda t: finish(_pa_group_sum(t, keys, sum_cols)),
+        lambda b: _pa_group_sum(b.select([*keys, *sum_cols]), keys, sum_cols),
     )
 
 
@@ -600,20 +598,16 @@ def q_top_customers(sf_dir: str):
         return batch.take(idx.slice(0, 10))
 
     def _finish(batch: pa.Table) -> pa.Table:
+        top = _partial_top(batch)
         return pa.table(
             {
-                "c_custkey": batch["o_custkey"].cast(pa.int64()),
-                "c_name": batch["c_name"],
-                "total_spend_cents": batch["total_spend_cents"].cast(pa.int64()),
+                "c_custkey": top["o_custkey"].cast(pa.int64()),
+                "c_name": top["c_name"],
+                "total_spend_cents": top["total_spend_cents"].cast(pa.int64()),
             }
         )
 
-    return (
-        named.map_batches(_partial_top, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(_partial_top, batch_format="pyarrow", batch_size=None)
-        .map_batches(_finish, batch_format="pyarrow")
-    )
+    return gather(named, _finish, _partial_top)
 
 
 @register(
@@ -1307,9 +1301,8 @@ def q_shipping_priority(sf_dir: str):
         return ray.data.from_arrow(_merge(_topk(t)))
 
     partials = _joined().map_batches(_partial_sum, batch_format="pyarrow")
-    per_part = map_partitions_by_key(partials, "l_orderkey", _topk, num_partitions=16)
-    return per_part.repartition(1).map_batches(
-        _merge, batch_format="pyarrow", batch_size=None
+    return gather(
+        map_partitions_by_key(partials, "l_orderkey", _topk, num_partitions=16), _merge
     )
 
 
@@ -1323,12 +1316,11 @@ def q_event_histogram(sf_dir: str):
     def _count(batch: pa.Table) -> pa.Table:
         return batch.append_column("n", pa.array(np.ones(batch.num_rows, np.int64)))
 
-    agg = _tiny_group_sum(
-        ev.map_batches(_count, batch_format="pyarrow"), ["event_type"], ["n"]
-    )
-    return agg.map_batches(
-        lambda b: pa.table({"event_type": b["event_type"], "n": b["n"].cast(pa.int64())}),
-        batch_format="pyarrow",
+    return _tiny_group_sum(
+        ev.map_batches(_count, batch_format="pyarrow"),
+        ["event_type"],
+        ["n"],
+        lambda g: pa.table({"event_type": g["event_type"], "n": g["n"].cast(pa.int64())}),
     )
 
 
@@ -2854,11 +2846,7 @@ def q_rollup_type_hour(sf_dir: str):
             }
         )
 
-    return (
-        ev.map_batches(_partial, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(_final, batch_format="pyarrow", batch_size=None)
-    )
+    return gather(ev, _final, _partial)
 
 
 _EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
@@ -3011,11 +2999,7 @@ def q_weighted_priority_sample(sf_dir: str):
             }
         )
 
-    return (
-        ev.map_batches(_partial_top, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(_partial_top, batch_format="pyarrow", batch_size=None)
-    )
+    return gather(ev, _partial_top, _partial_top)
 
 
 @register(
@@ -3105,17 +3089,13 @@ def q_retention_cohorts(sf_dir: str):
         g = pa.TableGroupBy(t, ["user_id", "day"]).aggregate([])
         return g
 
-    def _cohort(table: pa.Table) -> pa.Table:
-        uid = table["user_id"].to_numpy()
-        day = table["day"].to_numpy()
-        order = np.lexsort((day, uid))
-        uid, day = uid[order], day[order]
-        starts = np.flatnonzero(np.r_[True, uid[1:] != uid[:-1]])
-        counts = np.diff(np.r_[starts, len(uid)])
-        cohort = np.repeat(day[starts], counts)  # min day = first after sort
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        day = t["day"].to_numpy()
+        cohort = np.repeat(day[starts], sg.segment_counts(starts, len(day)))  # min day
         off = day - cohort
         # distinct (user, day) within partition: drop adjacent dups
-        keep = np.r_[True, (uid[1:] != uid[:-1]) | (day[1:] != day[:-1])]
+        keep = np.r_[True, day[1:] != day[:-1]]
+        keep[starts] = True
         t = pa.table(
             {
                 "cohort_day": pa.array(cohort[keep], pa.int64()),
@@ -3125,8 +3105,8 @@ def q_retention_cohorts(sf_dir: str):
         )
         return _pa_group_sum(t, ["cohort_day", "day_offset"], ["n_users"])
 
-    cells = map_partitions_by_key(
-        ev.map_batches(_days, batch_format="pyarrow"), "user_id", _cohort,
+    cells = keyed_scan(
+        ev.map_batches(_days, batch_format="pyarrow"), "user_id", ["day"], body,
         num_partitions=16,
     )
     return _tiny_group_sum(cells, ["cohort_day", "day_offset"], ["n_users"])
@@ -3240,11 +3220,7 @@ def q_mean_embedding_by_label(sf_dir: str):
             }
         )
 
-    return (
-        embs.map_batches(_partial, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(_final, batch_format="pyarrow", batch_size=None)
-    )
+    return gather(embs, _final, _partial)
 
 
 @register(
@@ -3340,11 +3316,7 @@ def q_embedding_norm_topk(sf_dir: str):
             }
         )
 
-    return (
-        embs.map_batches(_partial, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(_final, batch_format="pyarrow", batch_size=None)
-    )
+    return gather(embs, _final, _partial)
 
 
 @register(
@@ -3535,8 +3507,7 @@ def q_approx_distinct(sf_dir: str):
 
     def _final(batch: pa.Table) -> pa.Table:
         reg = np.zeros(M, np.int64)
-        if batch.num_rows:
-            np.maximum.at(reg, batch["bucket"].to_numpy(), batch["rank"].to_numpy())
+        np.maximum.at(reg, batch["bucket"].to_numpy(), batch["rank"].to_numpy())
         sum_inv = float(np.sum(np.power(2.0, -reg.astype(np.float64))))
         est = (0.7213 / (1.0 + 1.079 / M)) * M * M / sum_inv
         return pa.table(
@@ -3548,11 +3519,7 @@ def q_approx_distinct(sf_dir: str):
             }
         )
 
-    return (
-        ev.map_batches(_partial, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(_final, batch_format="pyarrow", batch_size=None)
-    )
+    return gather(ev, _final, _partial)
 
 
 @register(
@@ -4535,23 +4502,21 @@ def q_median(sf_dir: str):
     one fancy-index pass covers both parities)."""
     ev = _rp(sf_dir, "events", ["user_id", "value"])
 
-    def kernel(table: pa.Table) -> pa.Table:
-        uid = table["user_id"].to_numpy(zero_copy_only=False)
-        val = table["value"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((val, uid))
-        u, v = uid[order], val[order]
-        starts = np.flatnonzero(np.r_[True, u[1:] != u[:-1]])
-        n = np.r_[starts[1:], len(u)] - starts
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        v = t["value"].to_numpy(zero_copy_only=False)
+        n = sg.segment_counts(starts, len(v))
         lo = starts + (n - 1) // 2
         hi = starts + n // 2
         return pa.table(
             {
-                "user_id": pa.array(u[starts], pa.int64()),
+                "user_id": pa.array(
+                    t["user_id"].to_numpy(zero_copy_only=False)[starts], pa.int64()
+                ),
                 "median_value": pa.array((v[lo] + v[hi]) / 2.0, pa.float64()),
             }
         )
 
-    return map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["value"], body, num_partitions=32)
 
 
 @register(
@@ -5639,7 +5604,7 @@ def q_orders_per_customer_hist(sf_dir: str):
     zero-order customers.  The only real exchange is the per-batch
     partial count of the fact side reduced by one keyed shuffle; the
     count-of-counts histogram has tiny cardinality, so its partials
-    coalesce into one block (`_tiny_group_sum` pattern), and the
+    coalesce into one block (`gather`), and the
     zero-order bucket is total-customers (a parquet METADATA count — no
     customer-table scan) minus customers seen in orders — the left join
     never materializes."""
@@ -5673,7 +5638,7 @@ def q_orders_per_customer_hist(sf_dir: str):
 
     def _final(batch: pa.Table) -> pa.Table:
         g = _pa_group_sum(batch, ["c_count"], ["custdist"])
-        n_with = pc.sum(g["custdist"]).as_py() or 0
+        n_with = pc.sum(g["custdist"]).as_py()
         zero = int(n_cust) - int(n_with)
         if zero > 0:
             g = pa.concat_tables(
@@ -5689,11 +5654,7 @@ def q_orders_per_customer_hist(sf_dir: str):
             )
         return g
 
-    return (
-        per_cust.map_batches(_hist_partial, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(_final, batch_format="pyarrow", batch_size=None)
-    )
+    return gather(per_cust, _final, _hist_partial)
 
 
 @register(
@@ -6115,13 +6076,11 @@ def q_users_without_high_value(sf_dir: str):
 
     # per-batch distinct survivors may repeat across batches -> one tiny
     # distinct on the (already aggregate-sized) result
-    out = ev.map_batches(_anti, batch_format="pyarrow")
-
     def _final(batch: pa.Table) -> pa.Table:
         u = np.unique(batch["user_id"].to_numpy(zero_copy_only=False))
         return pa.table({"user_id": pa.array(u, pa.int64())})
 
-    return out.repartition(1).map_batches(_final, batch_format="pyarrow", batch_size=None)
+    return gather(ev, _final, _anti)
 
 
 @register(
@@ -6388,41 +6347,31 @@ def q_cum_distinct_types(sf_dir: str):
     plain window aggregates cannot express (COUNT(DISTINCT) OVER is
     unsupported in SQL engines; both sides use the same
     first-occurrence-flag + running-sum decomposition, so parity is
-    exact int64).  One shuffle on user_id; the kernel is two in-partition
-    lexsorts and a segmented cumsum — no per-row state."""
+    exact int64).  One per-user scan; the body flags each (user, type)
+    first occurrence and takes a segmented cumsum — no per-row state."""
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
-    def kernel(table: pa.Table) -> pa.Table:
-        n = table.num_rows
-        uid = table["user_id"].to_numpy()
-        eid = table["event_id"].to_numpy()
-        ts = table["ts"].cast(pa.int64()).to_numpy()
-        et = np.asarray(table["event_type"])
-        _, tcode = np.unique(et, return_inverse=True)
-        # first occurrence of (user, type) under the (ts, event_id) order
-        o1 = np.lexsort((eid, ts, tcode, uid))
-        u1, t1 = uid[o1], tcode[o1]
-        first = np.r_[True, (u1[1:] != u1[:-1]) | (t1[1:] != t1[:-1])]
-        flag = np.empty(n, dtype=np.int64)
-        flag[o1] = first.astype(np.int64)
-        # running sum of flags under the per-user (ts, event_id) order
-        o2 = np.lexsort((eid, ts, uid))
-        u2 = uid[o2]
-        starts = sg.segment_starts(u2)
-        cs = np.cumsum(flag[o2])
-        base = np.repeat(cs[starts] - flag[o2][starts], sg.segment_counts(starts, n))
-        run = cs - base
-        out = np.empty(n, dtype=np.int64)
-        out[o2] = run
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        n = t.num_rows
+        _, tcode = np.unique(np.asarray(t["event_type"]), return_inverse=True)
+        counts = sg.segment_counts(starts, n)
+        # first occurrence of (user, type) under the (ts, event_id) order:
+        # np.unique's return_index is the first row of each pair
+        user = np.repeat(np.arange(len(starts), dtype=np.int64), counts)
+        _, first = np.unique(user * (tcode.max() + 1) + tcode, return_index=True)
+        flag = np.zeros(n, dtype=np.int64)
+        flag[first] = 1
+        cs = np.cumsum(flag)
+        run = cs - np.repeat(cs[starts] - flag[starts], counts)
         return pa.table(
             {
-                "event_id": table["event_id"],
-                "user_id": table["user_id"],
-                "distinct_types_so_far": pa.array(out, pa.int64()),
+                "event_id": t["event_id"],
+                "user_id": t["user_id"],
+                "distinct_types_so_far": pa.array(run, pa.int64()),
             }
         )
 
-    return map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
 
 
 @register(
@@ -6478,18 +6427,12 @@ def q_temporal_split_assign(sf_dir: str):
     alternative to the content-hash split (`split_assign`), required
     whenever the model will be evaluated on the future (a random split
     leaks future behavior into training).  Pure integer rank rule
-    ``rn > (4n)//5`` so both sides agree exactly; one shuffle on
-    user_id, kernel = one in-partition lexsort + segment arithmetic."""
+    ``rn > (4n)//5`` so both sides agree exactly; one per-user scan of
+    segment arithmetic."""
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
 
-    def kernel(table: pa.Table) -> pa.Table:
-        n = table.num_rows
-        uid = table["user_id"].to_numpy()
-        eid = table["event_id"].to_numpy()
-        ts = table["ts"].cast(pa.int64()).to_numpy()
-        order = np.lexsort((eid, ts, uid))
-        su = uid[order]
-        starts = sg.segment_starts(su)
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        n = t.num_rows
         counts = sg.segment_counts(starts, n)
         rn = sg.rel_index(starts, n) + 1
         nn = np.repeat(counts, counts)
@@ -6497,13 +6440,13 @@ def q_temporal_split_assign(sf_dir: str):
         split = np.where(is_test, "test", "train")
         return pa.table(
             {
-                "event_id": pa.array(eid[order], pa.int64()),
-                "user_id": pa.array(su, pa.int64()),
+                "event_id": t["event_id"],
+                "user_id": t["user_id"],
                 "split": pa.array(split, pa.string()),
             }
         )
 
-    return map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
 
 
 @register(
@@ -6526,29 +6469,23 @@ def q_user_tenure_features(sf_dir: str):
     aggregate-join pass, unlike the SQL formulation)."""
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
 
-    def kernel(table: pa.Table) -> pa.Table:
-        n = table.num_rows
-        uid = table["user_id"].to_numpy()
-        eid = table["event_id"].to_numpy()
-        ts = table["ts"].cast(pa.int64()).to_numpy()
-        order = np.lexsort((eid, ts, uid))
-        su, sts = uid[order], ts[order]
-        starts = sg.segment_starts(su)
-        counts = sg.segment_counts(starts, n)
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        n = t.num_rows
+        ts = t["ts"].cast(pa.int64()).to_numpy()
         # first ts per user = MIN = first row under the (ts, event_id) sort
-        first = np.repeat(sts[starts], counts)
-        tenure = (sts - first) // 1_000_000
+        first = np.repeat(ts[starts], sg.segment_counts(starts, n))
+        tenure = (ts - first) // 1_000_000
         rank = sg.rel_index(starts, n) + 1
         return pa.table(
             {
-                "event_id": pa.array(eid[order], pa.int64()),
-                "user_id": pa.array(su, pa.int64()),
+                "event_id": t["event_id"],
+                "user_id": t["user_id"],
                 "tenure_s": pa.array(tenure, pa.int64()),
                 "event_rank": pa.array(rank.astype(np.int64), pa.int64()),
             }
         )
 
-    return map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
 
 
 @register(
@@ -6659,11 +6596,7 @@ def q_profile_events(sf_dir: str):
             }
         )
 
-    return (
-        ev.map_batches(_partial, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(_final, batch_format="pyarrow", batch_size=None)
-    )
+    return gather(ev, _final, _partial)
 
 
 def _curation_v2_sql() -> str:
@@ -6931,32 +6864,17 @@ def q_event_transition_probs(sf_dir: str):
     histogram (`aggregation/BowAggregator.java:39-74` counts unigrams;
     this counts ordered bigrams).  ONE shuffle on user_id; each partition
     kernel emits a <=K^2-row partial count table (K = #event types), so
-    the reduce is a coalesced in-block final (`_tiny_group_sum` pattern) —
+    the reduce is one coalesced in-block final (`gather`) —
     the exchange after the keyed pass carries transition histograms, never
     events.  p = n / row-total is one int/int double division, identical
     on both sides."""
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
 
-    _empty = pa.table(
-        {
-            "prev_type": pa.array([], pa.string()),
-            "event_type": pa.array([], pa.string()),
-            "n": pa.array([], pa.int64()),
-        }
-    )
-
-    def kernel(table: pa.Table) -> pa.Table:
-        n = table.num_rows
-        uid = table["user_id"].to_numpy()
-        eid = table["event_id"].to_numpy()
-        ts = table["ts"].cast(pa.int64()).to_numpy()
-        types, code = np.unique(
-            table["event_type"].to_numpy(zero_copy_only=False), return_inverse=True
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        types, sc = np.unique(
+            t["event_type"].to_numpy(zero_copy_only=False), return_inverse=True
         )
-        order = np.lexsort((eid, ts, uid))
-        su, sc = uid[order], code[order]
-        starts = sg.segment_starts(su)
-        has_prev = sg.rel_index(starts, n) > 0
+        has_prev = sg.rel_index(starts, t.num_rows) > 0
         prev = np.empty_like(sc)
         prev[1:] = sc[:-1]
         k = np.int64(len(types))
@@ -6972,8 +6890,6 @@ def q_event_transition_probs(sf_dir: str):
         )
 
     def _final(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _empty.append_column("p", pa.array([], pa.float64()))
         g = _pa_group_sum(t, ["prev_type", "event_type"], ["n"])
         prev = g["prev_type"].to_numpy(zero_copy_only=False)
         nn = g["n"].to_numpy()
@@ -6982,10 +6898,8 @@ def q_event_transition_probs(sf_dir: str):
         p = nn.astype(np.float64) / tot[inv]
         return g.append_column("p", pa.array(p, pa.float64()))
 
-    partials = map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
-    return partials.repartition(1).map_batches(
-        _final, batch_format="pyarrow", batch_size=None
-    )
+    partials = keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
+    return gather(partials, _final)
 
 
 @register(
@@ -7025,21 +6939,15 @@ def q_session_trigrams(sf_dir: str):
         {"trigram": pa.array([], pa.string()), "n": pa.array([], pa.int64())}
     )
 
-    def kernel(table: pa.Table) -> pa.Table:
-        n = table.num_rows
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        n = t.num_rows
         if n < 3:
             return _empty
-        uid = table["user_id"].to_numpy()
-        eid = table["event_id"].to_numpy()
-        ts = table["ts"].cast(pa.int64()).to_numpy()
-        types, code = np.unique(
-            table["event_type"].to_numpy(zero_copy_only=False), return_inverse=True
+        types, sc = np.unique(
+            t["event_type"].to_numpy(zero_copy_only=False), return_inverse=True
         )
-        order = np.lexsort((eid, ts, uid))
-        su, sc, st = uid[order], code[order], ts[order]
-        starts = sg.segment_starts(su)
         rel = sg.rel_index(starts, n)
-        gap = sg.seg_gap_us(st, starts)
+        gap = sg.seg_gap_us(t["ts"].cast(pa.int64()).to_numpy(), starts)
         brk = (rel == 0) | (gap > _SESSION_GAP_US)  # new user or new session
         # a trigram ending at i needs rows i-2, i-1, i in ONE session:
         # no break at i or i-1 (row i-2 only needs to be in the session)
@@ -7061,7 +6969,7 @@ def q_session_trigrams(sf_dir: str):
             {"trigram": pa.array(lab, pa.string()), "n": pa.array(cnt[nz], pa.int64())}
         )
 
-    partials = map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
+    partials = keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
     return _tiny_group_sum(partials, ["trigram"], ["n"])
 
 
@@ -7469,23 +7377,18 @@ def q_daily_user_spend_rank(sf_dir: str):
         t = batch.filter(sel)
         if t.num_rows == 0:
             return _pempty
-        uid = t["user_id"].to_numpy()
         ts_us = t["ts"].cast(pa.int64()).to_numpy()
         if np.any(ts_us < 0):
             raise ValueError("daily_user_spend_rank requires ts >= 1970-01-01")
-        day = ts_us // DAY
         c = _cents(t["value"].to_numpy(zero_copy_only=False)).astype(np.int64)
-        order = np.lexsort((day, uid))
-        u, d_, cs = uid[order], day[order], c[order]
-        bounds = np.flatnonzero(np.r_[True, (u[1:] != u[:-1]) | (d_[1:] != d_[:-1])])
-        sums = np.add.reduceat(cs, bounds)
-        return pa.table(
+        cells = pa.table(
             {
-                "user_id": pa.array(u[bounds], pa.int64()),
-                "day_idx": pa.array(d_[bounds], pa.int64()),
-                "spend_cents": pa.array(sums, pa.int64()),
+                "user_id": pa.array(t["user_id"].to_numpy(), pa.int64()),
+                "day_idx": pa.array(ts_us // DAY, pa.int64()),
+                "spend_cents": pa.array(c, pa.int64()),
             }
         )
+        return _pa_group_sum(cells, ["user_id", "day_idx"], ["spend_cents"])
 
     def _rank(t: pa.Table) -> pa.Table:
         g = _pa_group_sum(t, ["user_id", "day_idx"], ["spend_cents"])
@@ -7543,14 +7446,9 @@ def q_user_session_profile(sf_dir: str):
     are single int/int divisions of exact sums."""
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
 
-    def kernel(table: pa.Table) -> pa.Table:
-        n = table.num_rows
-        uid = table["user_id"].to_numpy()
-        eid = table["event_id"].to_numpy()
-        ts = table["ts"].cast(pa.int64()).to_numpy()
-        order = np.lexsort((eid, ts, uid))
-        su, st = uid[order], ts[order]
-        ustarts = sg.segment_starts(su)
+    def body(t: pa.Table, ustarts: np.ndarray) -> pa.Table:
+        n = t.num_rows
+        st = t["ts"].cast(pa.int64()).to_numpy()
         rel = sg.rel_index(ustarts, n)
         gap = sg.seg_gap_us(st, ustarts)
         sess_start = (rel == 0) | (gap > _SESSION_GAP_US)
@@ -7561,7 +7459,7 @@ def q_user_session_profile(sf_dir: str):
         dur = st[last] - st[sstarts]
         # roll sessions up to users: sessions belong to the user at their
         # first row; users are contiguous, so reduceat over user bounds
-        sess_user = su[sstarts]
+        sess_user = t["user_id"].to_numpy()[sstarts]
         ub = sg.segment_starts(sess_user)
         n_sessions = sg.segment_counts(ub, len(sess_user)).astype(np.int64)
         n_events = np.add.reduceat(scounts, ub)
@@ -7581,7 +7479,7 @@ def q_user_session_profile(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
 
 
 @register(
@@ -7640,28 +7538,23 @@ def q_churn_label_7d(sf_dir: str):
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
     WEEK = 604_800_000_000
 
-    def kernel(table: pa.Table) -> pa.Table:
-        n = table.num_rows
-        uid = table["user_id"].to_numpy()
-        eid = table["event_id"].to_numpy()
-        ts = table["ts"].cast(pa.int64()).to_numpy()
-        order = np.lexsort((eid, ts, uid))
-        su, st = uid[order], ts[order]
-        starts = sg.segment_starts(su)
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        n = t.num_rows
+        st = t["ts"].cast(pa.int64()).to_numpy()
         is_last = np.zeros(n, dtype=bool)
         is_last[starts - 1] = True  # wraps: starts[0]-1 == -1 == last row
         gap = np.full(n, -1, dtype=np.int64)
         gap[~is_last] = st[1:][~is_last[:-1]] - st[~is_last]
         return pa.table(
             {
-                "event_id": pa.array(eid[order], pa.int64()),
-                "user_id": pa.array(su, pa.int64()),
+                "event_id": t["event_id"],
+                "user_id": t["user_id"],
                 "next_gap_us": pa.array(gap, pa.int64()),
                 "churned_7d": pa.array(is_last | (gap > WEEK), pa.bool_()),
             }
         )
 
-    return map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
 
 
 @register(
@@ -7912,8 +7805,6 @@ def q_dataset_checksum(sf_dir: str):
         )
 
     def _final(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _empty
         et = t["event_type"].to_numpy(zero_copy_only=False)
         types, inv = np.unique(et, return_inverse=True)
         n = np.zeros(len(types), dtype=np.int64)
@@ -7928,11 +7819,7 @@ def q_dataset_checksum(sf_dir: str):
             }
         )
 
-    return (
-        ev.map_batches(_partial, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(_final, batch_format="pyarrow", batch_size=None)
-    )
+    return gather(ev, _final, _partial)
 
 
 # RE2 \s — the whitespace set shared with token_count's '\S+'
@@ -8036,11 +7923,7 @@ def q_pareto_front_events(sf_dir: str):
             }
         )
 
-    return (
-        ev.map_batches(_front, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(_front, batch_format="pyarrow", batch_size=None)
-    )
+    return gather(ev, _front, _front)
 
 
 @register(
@@ -8158,17 +8041,11 @@ def q_user_feature_store(sf_dir: str):
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type", "value"])
     HOUR = 3_600_000_000
 
-    def kernel(table: pa.Table) -> pa.Table:
-        n = table.num_rows
-        uid = table["user_id"].to_numpy()
-        eid = table["event_id"].to_numpy()
-        ts = table["ts"].cast(pa.int64()).to_numpy()
-        et = table["event_type"].to_numpy(zero_copy_only=False)
-        c = _cents(table["value"].to_numpy(zero_copy_only=False)).astype(np.int64)
-        order = np.lexsort((eid, ts, uid))
-        su, st, sc = uid[order], ts[order], c[order]
-        se = et[order]
-        starts = sg.segment_starts(su)
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        n = t.num_rows
+        st = t["ts"].cast(pa.int64()).to_numpy()
+        se = t["event_type"].to_numpy(zero_copy_only=False)
+        sc = _cents(t["value"].to_numpy(zero_copy_only=False)).astype(np.int64)
         counts = sg.segment_counts(starts, n)
         rel = sg.rel_index(starts, n)
         # sessions (30-min rule, sorted so first/last are min/max ts)
@@ -8192,7 +8069,7 @@ def q_user_feature_store(sf_dir: str):
             slope = num / den
         return pa.table(
             {
-                "user_id": pa.array(su[starts], pa.int64()),
+                "user_id": pa.array(t["user_id"].to_numpy()[starts], pa.int64()),
                 "n_events": pa.array(n_events, pa.int64()),
                 "n_sessions": pa.array(n_sessions, pa.int64()),
                 "events_per_session": pa.array(
@@ -8206,7 +8083,7 @@ def q_user_feature_store(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
 
 
 @register(
@@ -8275,14 +8152,9 @@ def q_hourly_concurrent_sessions(sf_dir: str):
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
     HOUR = 3_600_000_000
 
-    def kernel(table: pa.Table) -> pa.Table:
-        n = table.num_rows
-        uid = table["user_id"].to_numpy()
-        eid = table["event_id"].to_numpy()
-        ts = table["ts"].cast(pa.int64()).to_numpy()
-        order = np.lexsort((eid, ts, uid))
-        su, st = uid[order], ts[order]
-        ustarts = sg.segment_starts(su)
+    def body(t: pa.Table, ustarts: np.ndarray) -> pa.Table:
+        n = t.num_rows
+        st = t["ts"].cast(pa.int64()).to_numpy()
         rel = sg.rel_index(ustarts, n)
         gap = sg.seg_gap_us(st, ustarts)
         sess_start = (rel == 0) | (gap > _SESSION_GAP_US)
@@ -8300,13 +8172,6 @@ def q_hourly_concurrent_sessions(sf_dir: str):
         )
 
     def _scan(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "hour_idx": pa.array([], pa.int64()),
-                    "concurrency": pa.array([], pa.int64()),
-                }
-            )
         g = _pa_group_sum(t, ["h"], ["d"])
         h = g["h"].to_numpy()
         d = g["d"].to_numpy()
@@ -8318,10 +8183,8 @@ def q_hourly_concurrent_sessions(sf_dir: str):
             }
         )
 
-    partials = map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
-    return partials.repartition(1).map_batches(
-        _scan, batch_format="pyarrow", batch_size=None
-    )
+    partials = keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
+    return gather(partials, _scan)
 
 
 @register(
@@ -9039,7 +8902,7 @@ def q_dsir_importance_docs(sf_dir: str):
 
     Scale shape: the model is a FIXED 256-int vector pair, so there is no
     keyed exchange anywhere — per-batch (256,) count partials coalesce
-    through the `_tiny_group_sum` tree (bucket is the textbook
+    through one `gather` grouped sum (bucket is the textbook
     low-cardinality key), the scored pass is embarrassingly parallel, and
     the top-k selection is per-block partial top-k -> one tiny merge
     (K7's pattern) with the winner id-set broadcast for the flag column.
@@ -9130,12 +8993,7 @@ def q_dsir_importance_docs(sf_dir: str):
         order = np.lexsort((d, -ipt))[:K]
         return t.take(np.sort(order))
 
-    top = (
-        scored.map_batches(_partial_top, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(_partial_top, batch_format="pyarrow", batch_size=None)
-        .take_all()
-    )
+    top = gather(scored, _partial_top, _partial_top).take_all()
     top_ids = _ray.put(np.sort(np.array([r["doc_id"] for r in top], np.int64)))
 
     def _flag(t: pa.Table) -> pa.Table:
@@ -9246,12 +9104,7 @@ def q_bm25_top_docs(sf_dir: str):
         sel = np.lexsort((toks, -dfv))[:Q]
         return t.take(np.sort(sel))
 
-    qrows = (
-        df_ds.map_batches(_top_terms, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(_top_terms, batch_format="pyarrow", batch_size=None)
-        .take_all()
-    )
+    qrows = gather(df_ds, _top_terms, _top_terms).take_all()
     qrows.sort(key=lambda r: r["tok"])
     qtoks = np.array([r["tok"] for r in qrows], dtype=object)
     qdf = np.array([r["df"] for r in qrows], dtype=np.int64)
@@ -9338,11 +9191,7 @@ def q_bm25_top_docs(sf_dir: str):
             }
         )
 
-    return (
-        scored.map_batches(_partial_top, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(_final, batch_format="pyarrow", batch_size=None)
-    )
+    return gather(scored, _final, _partial_top)
 
 
 # ---------------------------------------------------------------------------
@@ -9475,13 +9324,9 @@ def q_session_day_split(sf_dir: str):
     DAY = 86_400_000_000
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
 
-    def _finish(t: pa.Table) -> pa.Table:
+    def body(t: pa.Table, ustarts: np.ndarray) -> pa.Table:
         u = t["user_id"].to_numpy(zero_copy_only=False)
         ts = t["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]").astype(np.int64)
-        eid = t["event_id"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, u))
-        u, ts = u[order], ts[order]
-        ustarts = sg.segment_starts(u)
         gaps = sg.seg_gap_us(ts, ustarts)
         # integer-µs gap compare, the `keyed.session_ids` convention
         # (exact for any threshold, unlike a /1e6 seconds round-trip)
@@ -9517,7 +9362,7 @@ def q_session_day_split(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(ev, "user_id", _finish, num_partitions=16)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=16)
 
 
 @register(
@@ -9653,15 +9498,17 @@ def q_daily_purchase_error_join(sf_dir: str):
         )
         return _pa_group_sum(t, ["user_id", "day_us", "kind"], ["n", "cents"])
 
-    def _align(t: pa.Table) -> pa.Table:
-        g = _pa_group_sum(t, ["user_id", "day_us", "kind"], ["n", "cents"])
-        u = g["user_id"].to_numpy(zero_copy_only=False)
-        d = g["day_us"].to_numpy(zero_copy_only=False)
-        k = g["kind"].to_numpy(zero_copy_only=False)
-        n = g["n"].to_numpy(zero_copy_only=False)
-        c = g["cents"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((k, d, u))
-        u, d, k, n, c = u[order], d[order], k[order], n[order], c[order]
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        u = t["user_id"].to_numpy(zero_copy_only=False)
+        d = t["day_us"].to_numpy(zero_copy_only=False)
+        k = t["kind"].to_numpy(zero_copy_only=False)
+        # sum the per-batch partials of each (user, day, kind) run
+        run = np.flatnonzero(
+            np.r_[True, (u[1:] != u[:-1]) | (d[1:] != d[:-1]) | (k[1:] != k[:-1])]
+        )
+        n = np.add.reduceat(t["n"].to_numpy(zero_copy_only=False), run)
+        c = np.add.reduceat(t["cents"].to_numpy(zero_copy_only=False), run)
+        u, d, k = u[run], d[run], k[run]
         new = np.empty(len(u), bool)
         new[0] = True
         new[1:] = (u[1:] != u[:-1]) | (d[1:] != d[:-1])
@@ -9690,10 +9537,11 @@ def q_daily_purchase_error_join(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(
+    return keyed_scan(
         ev.map_batches(_tagged_partials, batch_format="pyarrow"),
         "user_id",
-        _align,
+        ["day_us", "kind"],
+        body,
         num_partitions=16,
     )
 
@@ -10093,8 +9941,6 @@ def q_chi2_term_lang(sf_dir: str):
         )
 
     def _final(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _empty_out
         tl = np.asarray(t["lang"]).astype(object)
         terms = np.asarray(t["term"]).astype(object)
         chi2 = t["chi2"].to_numpy()
@@ -10120,9 +9966,7 @@ def q_chi2_term_lang(sf_dir: str):
     # slim), so the extra exchange is cheap at any scale
     body = reduced.filter(expr="term != ''")
     topk = map_partitions_by_key(body, "term", _chi2_topk, num_partitions=16)
-    return topk.repartition(1).map_batches(
-        _final, batch_format="pyarrow", batch_size=None
-    )
+    return gather(topk, _final)
 
 
 @register(
@@ -10382,19 +10226,7 @@ def q_auc_value_purchase(sf_dir: str):
         np.add.at(nt, inv, 1)
         return pa.table({"cents": uniq, "np": np_, "nt": nt}, schema=_P_SCHEMA)
 
-    _OUT_EMPTY = pa.table(
-        {
-            "n_pos": pa.array([], pa.int64()),
-            "n_neg": pa.array([], pa.int64()),
-            "auc_num": pa.array([], pa.int64()),
-            "auc_den": pa.array([], pa.int64()),
-            "auc": pa.array([], pa.float64()),
-        }
-    )
-
     def _finish(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _OUT_EMPTY
         g = _pa_group_sum(t, ["cents"], ["np", "nt"])
         cents = g["cents"].to_numpy()
         np_ = g["np"].to_numpy()
@@ -10418,10 +10250,7 @@ def q_auc_value_purchase(sf_dir: str):
             }
         )
 
-    partials = ev.map_batches(_partial, batch_format="pyarrow")
-    return partials.repartition(1).map_batches(
-        _finish, batch_format="pyarrow", batch_size=None
-    )
+    return gather(ev, _finish, _partial)
 
 
 @register(
@@ -10575,7 +10404,7 @@ def q_cube_type_day(sf_dir: str):
     mirrored by COALESCE in the oracle, which also keeps the output
     null-free for stable sorting), so the exchange carries ~4x
     AGGREGATE-sized partials, never 4x the data; the finish re-groups
-    the tiny partial set in one block, exactly the `_tiny_group_sum`
+    the tiny partial set in one block, exactly the `gather`
     discipline (groups bounded by |types| x |days| — low-cardinality by
     construction; a high-cardinality cube would shard the finish by
     gid)."""
@@ -10618,15 +10447,10 @@ def q_cube_type_day(sf_dir: str):
         return pa.concat_tables(outs).cast(_P_SCHEMA)
 
     def _final(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _P_SCHEMA.empty_table()
         g = _pa_group_sum(t, ["event_type", "day", "gid"], ["n", "sum_cents"])
         return g.select(["event_type", "day", "gid", "n", "sum_cents"]).cast(_P_SCHEMA)
 
-    partials = ev.map_batches(_partial, batch_format="pyarrow")
-    return partials.repartition(1).map_batches(
-        _final, batch_format="pyarrow", batch_size=None
-    )
+    return gather(ev, _final, _partial)
 
 
 _TV_BUCKET_SQL = (
@@ -11042,7 +10866,7 @@ def q_calibration_bins(sf_dir: str):
 
     Exactness: per-bin sums are int64; each output double is ONE
     division of <2^53 integers, so the compare is bit-exact.  Plan:
-    per-batch 10-group combiner -> `_tiny_group_sum` (no keyed
+    per-batch 10-group combiner -> `gather` grouped sum (no keyed
     exchange at all — the classic partial-aggregate shape)."""
 
     def _partial(batch: pa.Table) -> pa.Table:
@@ -11074,9 +10898,7 @@ def q_calibration_bins(sf_dir: str):
 
     ev = _rp(sf_dir, "events", ["event_id", "event_type"])
     return _tiny_group_sum(ev.map_batches(_partial, batch_format="pyarrow"),
-                           ["bin"], ["n", "n_pos", "sum_milli"]).map_batches(
-        _finish, batch_format="pyarrow"
-    )
+                           ["bin"], ["n", "n_pos", "sum_milli"], _finish)
 
 
 @register(
@@ -11124,7 +10946,7 @@ def q_pr_at_thresholds(sf_dir: str):
     int/int division each and F1 is computed from those two already-
     rounded doubles with the same ((2*p)*r)/(p+r) operation tree on
     both engines — bit-exact.  Plan: per-batch bucket combiner ->
-    `_tiny_group_sum` -> a 20-row driver-side finish (no exchange)."""
+    `gather` grouped sum -> a 20-row finish in the same call (no exchange)."""
 
     def _partial(batch: pa.Table) -> pa.Table:
         c = _cents(batch["value"].to_numpy(zero_copy_only=False)).astype(np.int64)
@@ -11182,8 +11004,8 @@ def q_pr_at_thresholds(sf_dir: str):
 
     ev = _rp(sf_dir, "events", ["value", "event_type"])
     return _tiny_group_sum(
-        ev.map_batches(_partial, batch_format="pyarrow"), ["bucket"], ["npos", "nneg"]
-    ).map_batches(_finish, batch_format="pyarrow", batch_size=None)
+        ev.map_batches(_partial, batch_format="pyarrow"), ["bucket"], ["npos", "nneg"], _finish
+    )
 
 
 @register(
@@ -11211,7 +11033,7 @@ def q_new_user_rate_daily(sf_dir: str):
     exchange to active-key-days; ONE user_id-keyed exchange groups
     each key's days; the per-partition kernel re-dedupes, marks each
     key's MIN day, and emits (day, n, n_new) partials; the finish is a
-    `_tiny_group_sum` over the O(days) rows plus one exact division.
+    `gather` grouped sum over the O(days) rows plus one exact division.
     The raw event rows never shuffle."""
     DAY_US = 86_400_000_000
 
@@ -11258,9 +11080,7 @@ def q_new_user_rate_daily(sf_dir: str):
     ev = _rp(sf_dir, "events", ["user_id", "ts"])
     pairs = ev.map_batches(_pairs, batch_format="pyarrow")
     partials = map_partitions_by_key(pairs, "user_id", _per_user, num_partitions=16)
-    return _tiny_group_sum(partials, ["day"], ["n", "n_new"]).map_batches(
-        _finish, batch_format="pyarrow"
-    )
+    return _tiny_group_sum(partials, ["day"], ["n", "n_new"], _finish)
 
 
 @register(
@@ -11298,15 +11118,6 @@ def q_key_skew_report(sf_dir: str):
         )
         return _pa_group_sum(t, ["user_id"], ["cnt"])
 
-    _bucket_schema = pa.schema(
-        [
-            ("bucket", pa.int64()),
-            ("n_keys", pa.int64()),
-            ("n_rows", pa.int64()),
-            ("max_cnt", pa.int64()),
-        ]
-    )
-
     def _bucketize(t: pa.Table) -> pa.Table:
         g = _pa_group_sum(t, ["user_id"], ["cnt"])
         cnt = g["cnt"].to_numpy()
@@ -11319,21 +11130,9 @@ def q_key_skew_report(sf_dir: str):
                 "max_cnt": pa.array(cnt, pa.int64()),
             }
         )
-        gb = pa.TableGroupBy(t2, ["bucket"]).aggregate(
-            [("n_keys", "sum"), ("n_rows", "sum"), ("max_cnt", "max")]
-        )
-        return pa.table(
-            {
-                "bucket": gb["bucket"],
-                "n_keys": gb["n_keys_sum"],
-                "n_rows": gb["n_rows_sum"],
-                "max_cnt": gb["max_cnt_max"],
-            }
-        )
+        return _merge(t2)
 
     def _merge(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _bucket_schema.empty_table()
         gb = pa.TableGroupBy(t, ["bucket"]).aggregate(
             [("n_keys", "sum"), ("n_rows", "sum"), ("max_cnt", "max")]
         )
@@ -11350,9 +11149,7 @@ def q_key_skew_report(sf_dir: str):
     partials = ev.map_batches(_partial, batch_format="pyarrow")
     buckets = map_partitions_by_key(partials, "user_id", _bucketize,
                                     num_partitions=16)
-    return buckets.repartition(1).map_batches(
-        _merge, batch_format="pyarrow", batch_size=None
-    )
+    return gather(buckets, _merge)
 
 
 # Z-order bit interleave: value bucket v into ODD bit positions, time
@@ -11489,17 +11286,8 @@ def q_zorder_zonemap(sf_dir: str):
             )
         )
 
-    def _merge(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return _cell_schema.empty_table()
-        return _agg_cells(t)
-
     ev = _rp(sf_dir, "events", ["ts", "value"])
-    return (
-        ev.map_batches(_partial, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(_merge, batch_format="pyarrow", batch_size=None)
-    )
+    return gather(ev, _agg_cells, _partial)
 
 
 # --------------------------------------------------------------------------
@@ -11526,7 +11314,7 @@ def q_langid_confusion(sf_dir: str):
     langid-conditioned queries.
 
     Plan: one map computes (lang_true, lang_pred) per doc; the counts
-    are a <=|langs|^2-group `_tiny_group_sum` — pure partial
+    are a <=|langs|^2-group `gather` grouped sum — pure partial
     aggregation, no keyed exchange."""
     docs = _rp(sf_dir, "documents", ["doc_id", "text", "lang"])
 
@@ -11796,8 +11584,8 @@ def q_cusum_changepoint_by_type(sf_dir: str):
     |n*cum_k - k*T| (the uniform line scaled by n — no float drift in
     the argmax); ties break to the earliest day, and the one
     normalized double is a single division by n*T.  Plan: per-batch
-    (type, day) count combiner -> `_tiny_group_sum` (O(types x days)
-    rows) -> per-type segmented argmax on the driver block."""
+    (type, day) count combiner -> `gather` grouped sum (O(types x days)
+    rows) -> per-type segmented argmax in the same finish."""
 
     def _partial(batch: pa.Table) -> pa.Table:
         t = pa.table(
@@ -11812,21 +11600,7 @@ def q_cusum_changepoint_by_type(sf_dir: str):
         )
         return _pa_group_sum(t, ["event_type", "day"], ["c"])
 
-    _out_schema = pa.schema(
-        [
-            ("event_type", pa.string()),
-            ("n_days", pa.int64()),
-            ("total", pa.int64()),
-            ("day_star", pa.int64()),
-            ("k_star", pa.int64()),
-            ("s_max", pa.int64()),
-            ("s_norm", pa.float64()),
-        ]
-    )
-
     def _finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _out_schema.empty_table()
         et = batch["event_type"].to_numpy(zero_copy_only=False)
         day = batch["day"].to_numpy()
         c = batch["c"].to_numpy()
@@ -11867,8 +11641,8 @@ def q_cusum_changepoint_by_type(sf_dir: str):
 
     ev = _rp(sf_dir, "events", ["event_type", "ts"])
     return _tiny_group_sum(
-        ev.map_batches(_partial, batch_format="pyarrow"), ["event_type", "day"], ["c"]
-    ).map_batches(_finish, batch_format="pyarrow", batch_size=None)
+        ev.map_batches(_partial, batch_format="pyarrow"), ["event_type", "day"], ["c"], _finish
+    )
 
 
 @register(
@@ -11995,31 +11769,28 @@ def q_debounce_events(sf_dir: str):
     primitive.  This is NOT sessionize: the recurrence depends on the
     last kept row (greedy independent set on the timeline), so no
     single window/cumsum expresses it — it joins `pack_context_windows`
-    as the second genuinely-sequential operator, and uses the same
-    vectorized FRONTIER sweep (`functions/packing.py:debounce_frontier`:
-    each pass keeps every user's first unresolved event and resolves
-    the events inside its window, across all users simultaneously) with
-    the same unrolled-frontier recursive-CTE oracle shape — so the
-    frontier-vs-sequential equivalence is hash-checked end-to-end.
+    as the second genuinely-sequential operator.  The kernel
+    (`functions/packing.py:debounce_frontier`) finds each event's
+    successor (the first later event of its user at least W after it)
+    by one batched binary search and keeps the successor chain from each
+    user's first event by pointer doubling, O(n log n) for any data;
+    the oracle is an unrolled-frontier recursive CTE, so the
+    vectorized-vs-sequential equivalence is hash-checked end-to-end.
 
-    Plan: ONE user_id-keyed exchange of slim (event_id, ts) rows; the
-    per-partition kernel lexsorts by (user, ts, event_id) and runs the
-    frontier.  Ties at the same microsecond: only the min event_id can
-    be kept (any W > 0 suppresses its same-instant peers)."""
+    Plan: ONE per-user scan (`keyed_scan`) of slim (event_id, ts) rows
+    sorted by (user, ts, event_id).  Ties at the same microsecond: only
+    the min event_id can be kept (any W > 0 suppresses its same-instant
+    peers)."""
     from multimedia_indexing_ray.functions.packing import debounce_frontier
 
     W_US = 1_800_000_000
 
-    def _debounce(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy()
-        eid = t["event_id"].to_numpy()
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
         ts = t["ts"].cast(pa.int64()).to_numpy()
-        order = np.lexsort((eid, ts, uid))
-        keep = debounce_frontier(uid[order], ts[order], W_US)
-        return t.take(pa.array(order[keep]))
+        return t.filter(debounce_frontier(t["user_id"].to_numpy(), ts, W_US))
 
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
-    return map_partitions_by_key(ev, "user_id", _debounce, num_partitions=16)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=16)
 
 
 @register(
@@ -12046,41 +11817,23 @@ def q_group_sample_k(sf_dir: str):
 
     Plan: per-batch segmented partial top-3 -> one user-keyed exchange
     of the slim survivors -> final segmented top-3 per key."""
-    def _topk(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy()
-        eid = t["event_id"].to_numpy()
-        h = t["h"].to_numpy() if "h" in t.column_names else (
-            _fnv1a32(eid).astype(np.int64)
-        )
-        order = np.lexsort((eid, h, uid))
-        uid_s = uid[order]
-        starts = sg.segment_starts(uid_s)
-        rank = np.arange(len(uid_s)) - np.repeat(
-            starts, sg.segment_counts(starts, len(uid_s))
-        )
-        keep = order[rank < 3]
-        return pa.table(
-            {
-                "event_id": pa.array(eid[keep], pa.int64()),
-                "user_id": pa.array(uid[keep], pa.int64()),
-                "h": pa.array(
-                    h[keep] if "h" in t.column_names
-                    else _fnv1a32(eid[keep]).astype(np.int64),
-                    pa.int64(),
-                ),
-            }
-        )
+    order = ["h", "event_id"]
+
+    def _top3(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        # t sorted by (user_id, h, event_id): each user's first 3 rows
+        keep = sg.rel_index(starts, t.num_rows) < 3
+        return t.select(["event_id", "user_id", "h"]).filter(keep)
 
     def _partial(batch: pa.Table) -> pa.Table:
         eid = batch["event_id"].to_numpy()
         withh = batch.append_column(
             "h", pa.array(_fnv1a32(eid).astype(np.int64), pa.int64())
-        )
-        return _topk(withh)
+        ).sort_by([(c, "ascending") for c in ("user_id", *order)])
+        return _top3(withh, sg.segment_starts(withh["user_id"].to_numpy()))
 
     ev = _rp(sf_dir, "events", ["event_id", "user_id"])
     partials = ev.map_batches(_partial, batch_format="pyarrow")
-    return map_partitions_by_key(partials, "user_id", _topk, num_partitions=16)
+    return keyed_scan(partials, "user_id", order, _top3, num_partitions=16)
 
 
 @register(
@@ -12112,20 +11865,17 @@ def q_time_in_state_by_type(sf_dir: str):
     computes next-ts per row with a shifted compare (vectorized), then
     per-type int64 partials -> tiny merge."""
 
-    def _dwell(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy()
-        eid = t["event_id"].to_numpy()
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
         ts = t["ts"].cast(pa.int64()).to_numpy()
-        et = t["event_type"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((eid, ts, uid))
-        uid, ts, et = uid[order], ts[order], et[order]
+        # next-ts gap within the user; each user's last row holds 0
         dwell = np.zeros(len(ts), np.int64)
-        if len(ts) > 1:
-            same = uid[:-1] == uid[1:]
-            dwell[:-1] = np.where(same, ts[1:] - ts[:-1], 0)
+        dwell[:-1] = ts[1:] - ts[:-1]
+        dwell[starts - 1] = 0  # wraps: starts[0]-1 == -1 == last row
         t2 = pa.table(
             {
-                "event_type": pa.array(et, pa.string()),
+                "event_type": pa.array(
+                    t["event_type"].to_numpy(zero_copy_only=False), pa.string()
+                ),
                 "dwell_us": pa.array(dwell, pa.int64()),
                 "n": pa.array(np.ones(len(ts), np.int64)),
             }
@@ -12145,10 +11895,8 @@ def q_time_in_state_by_type(sf_dir: str):
         )
 
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-    partials = map_partitions_by_key(ev, "user_id", _dwell, num_partitions=16)
-    return _tiny_group_sum(partials, ["event_type"], ["dwell_us", "n"]).map_batches(
-        _finish, batch_format="pyarrow"
-    )
+    partials = keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=16)
+    return _tiny_group_sum(partials, ["event_type"], ["dwell_us", "n"], _finish)
 
 
 # --------------------------------------------------------------------------
@@ -12216,7 +11964,7 @@ def q_bpe_train_merges(sf_dir: str):
 
     Scale plan: each round is ONE stateless corpus pass (apply the
     <= 8-entry merge list, count pairs vectorized over the batch's one
-    codepoint array) into a `_tiny_group_sum` of (pair, n)
+    codepoint array) into a `gather` grouped sum of (pair, n)
     partials — the aggregate is bounded by the live symbol alphabet
     squared, the same bounded-vocabulary regime as `bpe_pair_counts`;
     the driver only picks the per-round argmax.  Words never
@@ -12553,13 +12301,10 @@ def q_window_funnel_levels(sf_dir: str):
             }
         )
 
-    def _funnel(t: pa.Table) -> pa.Table:
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
         uid = t["user_id"].to_numpy()
         ts = t["ts_us"].to_numpy()
         prio = t["prio"].to_numpy()
-        order = np.lexsort((prio, ts, uid))
-        uid, ts, prio = uid[order], ts[order], prio[order]
-        starts = sg.segment_starts(uid)
         next_b = sg.seg_next_true_idx(prio == 1, starts)
         next_c = sg.seg_next_true_idx(prio == 0, starts)
         is_a = prio == 2
@@ -12583,7 +12328,7 @@ def q_window_funnel_levels(sf_dir: str):
 
     ev = _rp(sf_dir, "events", ["user_id", "ts", "event_type"])
     slim = ev.map_batches(_slim, batch_format="pyarrow")
-    return map_partitions_by_key(slim, "user_id", _funnel, num_partitions=16)
+    return keyed_scan(slim, "user_id", ["ts_us", "prio"], body, num_partitions=16)
 
 
 @register(
@@ -12626,18 +12371,7 @@ def q_range_partition_plan(sf_dir: str):
             }
         )
 
-    _schema = pa.schema(
-        [
-            ("bucket", pa.int64()),
-            ("n_rows", pa.int64()),
-            ("lo_cents", pa.int64()),
-            ("hi_cents", pa.int64()),
-        ]
-    )
-
     def _finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _schema.empty_table()
         c = batch["c"].to_numpy()
         cnt = batch["cnt"].to_numpy()
         order = np.argsort(c, kind="stable")
@@ -12664,8 +12398,8 @@ def q_range_partition_plan(sf_dir: str):
 
     ev = _rp(sf_dir, "events", ["value"])
     return _tiny_group_sum(
-        ev.map_batches(_partial, batch_format="pyarrow"), ["c"], ["cnt"]
-    ).map_batches(_finish, batch_format="pyarrow", batch_size=None)
+        ev.map_batches(_partial, batch_format="pyarrow"), ["c"], ["cnt"], _finish
+    )
 
 
 # --------------------------------------------------------------------------
@@ -12837,13 +12571,10 @@ def q_time_to_purchase_by_cohort(sf_dir: str):
             }
         )
 
-    def _per_user(t: pa.Table) -> pa.Table:
+    def _per_user(t: pa.Table, starts: np.ndarray) -> pa.Table:
         uid = t["user_id"].to_numpy()
         ts = t["ts_us"].to_numpy()
         isp = t["is_purch"].to_numpy().astype(bool)
-        order = np.lexsort((ts, uid))
-        uid, ts, isp = uid[order], ts[order], isp[order]
-        starts = sg.segment_starts(uid)
         BIG = np.int64(2**62)
         s_ts = np.where(~isp, ts, BIG)
         first_signup = np.minimum.reduceat(s_ts, starts)
@@ -12894,7 +12625,7 @@ def q_time_to_purchase_by_cohort(sf_dir: str):
 
     ev = _rp(sf_dir, "events", ["user_id", "ts", "event_type"])
     slim = ev.map_batches(_slim, batch_format="pyarrow")
-    per_user = map_partitions_by_key(slim, "user_id", _per_user, num_partitions=16)
+    per_user = keyed_scan(slim, "user_id", ["ts_us"], _per_user, num_partitions=16)
     return map_partitions_by_key(
         per_user, "cohort_week", _per_cohort, num_partitions=8
     )
@@ -13282,7 +13013,7 @@ def q_dataset_card_by_source_lang(sf_dir: str):
     text column crosses once as the exact grouping key) marks each
     doc's corpus-wide copy count and immediately folds everything to
     (source, lang) partial sums inside the same kernel, so nothing
-    text-sized leaves it; the finish is a `_tiny_group_sum` plus two
+    text-sized leaves it; the finish is a `gather` grouped sum plus two
     exact divisions."""
     docs = _rp(sf_dir, "documents", ["doc_id", "source", "lang", "text"])
 
@@ -13329,8 +13060,8 @@ def q_dataset_card_by_source_lang(sf_dir: str):
 
     partials = map_partitions_by_key(docs, "text", _mark, num_partitions=16)
     return _tiny_group_sum(
-        partials, ["source", "lang"], ["n", "chars", "tokens", "dups"]
-    ).map_batches(_finish, batch_format="pyarrow")
+        partials, ["source", "lang"], ["n", "chars", "tokens", "dups"], _finish
+    )
 
 
 @register(
@@ -13442,9 +13173,7 @@ def q_order_total_reconciliation(sf_dir: str):
         return pa.table(cols)
 
     partials = map_partitions_by_key(both, "okey", _recon, num_partitions=16)
-    return partials.repartition(1).map_batches(
-        _merge, batch_format="pyarrow", batch_size=None
-    )
+    return gather(partials, _merge)
 
 
 @register(
@@ -13563,9 +13292,7 @@ def q_dau_wau_stickiness(sf_dir: str):
         )
 
     votes = map_partitions_by_key(pairs, "user_id", _votes, num_partitions=16)
-    return _tiny_group_sum(votes, ["day"], ["dau", "wau"]).map_batches(
-        _finish, batch_format="pyarrow"
-    )
+    return _tiny_group_sum(votes, ["day"], ["dau", "wau"], _finish)
 
 
 # --------------------------------------------------------------------------
@@ -13639,11 +13366,7 @@ def q_dup_cluster_size_hist(sf_dir: str):
             }
         )
 
-    return (
-        clusters.map_batches(_sizes, batch_format="pyarrow")
-        .repartition(1)
-        .map_batches(_hist, batch_format="pyarrow", batch_size=None)
-    )
+    return gather(clusters, _hist, _sizes)
 
 
 @register(
@@ -13716,8 +13439,8 @@ def q_tokenizer_fertility_by_lang(sf_dir: str):
     return _tiny_group_sum(
         docs.map_batches(_partial, batch_format="pyarrow"),
         ["lang"],
-        ["n", "ws", "bpe", "chars"],
-    ).map_batches(_finish, batch_format="pyarrow")
+        ["n", "ws", "bpe", "chars"], _finish
+    )
 
 
 @register(
@@ -14020,18 +13743,7 @@ def q_mode_value_by_type(sf_dir: str):
         )
         return _pa_group_sum(t, ["event_type", "c"], ["n"])
 
-    _schema = pa.schema(
-        [
-            ("event_type", pa.string()),
-            ("mode_cents", pa.int64()),
-            ("mode_count", pa.int64()),
-        ]
-    )
-
-    def _argmax(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _schema.empty_table()
-        g = _pa_group_sum(batch, ["event_type", "c"], ["n"])
+    def _argmax(g: pa.Table) -> pa.Table:
         et = g["event_type"].to_numpy(zero_copy_only=False)
         c = g["c"].to_numpy()
         n = g["n"].to_numpy()
@@ -14048,8 +13760,8 @@ def q_mode_value_by_type(sf_dir: str):
 
     ev = _rp(sf_dir, "events", ["event_type", "value"])
     return _tiny_group_sum(
-        ev.map_batches(_partial, batch_format="pyarrow"), ["event_type", "c"], ["n"]
-    ).map_batches(_argmax, batch_format="pyarrow", batch_size=None)
+        ev.map_batches(_partial, batch_format="pyarrow"), ["event_type", "c"], ["n"], _argmax
+    )
 
 
 # --------------------------------------------------------------------------
@@ -14084,7 +13796,7 @@ def q_label_gram_matrices(sf_dir: str):
 
     Plan: per-batch, vectors group by label and contribute one
     q^T q int64 matmul each (k x D(D+1)/2 partial rows, aggregate-
-    sized); partials add associatively through `_tiny_group_sum`.  The
+    sized); partials add associatively through one `gather`.  The
     vectors never shuffle."""
     DIM = 64
     iu, ju = np.triu_indices(DIM)
@@ -14147,7 +13859,7 @@ def q_wow_growth_by_type(sf_dir: str):
     data (a gap week breaks the comparison rather than comparing
     across it) — the prev_week = week-1 guard, mirrored exactly.
 
-    Plan: per-batch (type, week) count combiner -> `_tiny_group_sum`
+    Plan: per-batch (type, week) count combiner -> `gather` grouped sum
     (O(types x weeks) rows) -> segmented shift per type; one exact
     division."""
 
@@ -14164,20 +13876,7 @@ def q_wow_growth_by_type(sf_dir: str):
         )
         return _pa_group_sum(t, ["event_type", "week"], ["n"])
 
-    _schema = pa.schema(
-        [
-            ("event_type", pa.string()),
-            ("week", pa.int64()),
-            ("n", pa.int64()),
-            ("prev_n", pa.int64()),
-            ("wow_growth", pa.float64()),
-        ]
-    )
-
-    def _finish(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _schema.empty_table()
-        g = _pa_group_sum(batch, ["event_type", "week"], ["n"])
+    def _finish(g: pa.Table) -> pa.Table:
         et = g["event_type"].to_numpy(zero_copy_only=False)
         wk = g["week"].to_numpy()
         n = g["n"].to_numpy()
@@ -14205,8 +13904,8 @@ def q_wow_growth_by_type(sf_dir: str):
 
     ev = _rp(sf_dir, "events", ["event_type", "ts"])
     return _tiny_group_sum(
-        ev.map_batches(_partial, batch_format="pyarrow"), ["event_type", "week"], ["n"]
-    ).map_batches(_finish, batch_format="pyarrow", batch_size=None)
+        ev.map_batches(_partial, batch_format="pyarrow"), ["event_type", "week"], ["n"], _finish
+    )
 
 
 @register(
@@ -14240,20 +13939,12 @@ def q_session_length_hist(sf_dir: str):
     per-partition (user, session) counts reduce to (len, n) partials
     (sessions never span partition groups), merged by one tiny sum."""
 
-    def _hist(t: pa.Table) -> pa.Table:
-        uid = t["user_id"].to_numpy()
-        eid = t["event_id"].to_numpy()
+    def body(t: pa.Table, starts: np.ndarray) -> pa.Table:
         ts = t["ts"].cast(pa.int64()).to_numpy()
-        order = np.lexsort((eid, ts, uid))
-        uid, ts = uid[order], ts[order]
-        starts = sg.segment_starts(uid)
-        gap = np.zeros(len(ts), np.int64)
-        gap[1:] = ts[1:] - ts[:-1]
-        gap[starts] = 0
-        brk = gap > 1_800_000_000
+        brk = sg.seg_gap_us(ts, starts) > 1_800_000_000
         brk[starts] = True  # each user's first row opens a session
         sess_starts = np.flatnonzero(brk)
-        sizes = np.diff(np.r_[sess_starts, len(uid)])
+        sizes = np.diff(np.r_[sess_starts, len(ts)])
         uniq, cnt = np.unique(sizes, return_counts=True)
         return pa.table(
             {
@@ -14263,5 +13954,5 @@ def q_session_length_hist(sf_dir: str):
         )
 
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
-    partials = map_partitions_by_key(ev, "user_id", _hist, num_partitions=16)
+    partials = keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=16)
     return _tiny_group_sum(partials, ["session_len"], ["n_sessions"])

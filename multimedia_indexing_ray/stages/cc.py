@@ -35,6 +35,7 @@ from multimedia_indexing_ray.functions import segments as sg
 from multimedia_indexing_ray.stages.partition import (
     DRIVER_EDGES,
     fits,
+    gather,
     map_partitions_by_key,
     stable_hash,
 )
@@ -252,9 +253,6 @@ def resolve_clusters(
 
     both = docs.map_batches(_self_edges, batch_format="pyarrow").union(stars)
     both = both.materialize()
-    if fits(both.count(), DRIVER_EDGES):
-        both = both.repartition(1)
-        num_partitions = None  # marker: single-block path below
 
     def _min_label(table: pa.Table) -> pa.Table:
         u = table["u"].to_numpy(zero_copy_only=False)
@@ -277,8 +275,8 @@ def resolve_clusters(
             ),
         )
 
-    if num_partitions is None:
-        return both.map_batches(_min_label, batch_format="pyarrow", batch_size=None)
+    if fits(both.count(), DRIVER_EDGES):
+        return gather(both, _min_label)
     return map_partitions_by_key(both, "u", _min_label, num_partitions=num_partitions)
 
 
@@ -348,19 +346,6 @@ def resolve_clusters_best(
             ),
         )
 
-    # small corpora: collapse both fixed-cost keyed exchanges into one
-    # coalesced block (same kernels, batch = everything)
-    both = both.materialize()
-    small = fits(both.count(), DRIVER_EDGES)
-    if small:
-        assigned = both.repartition(1).map_batches(
-            _attach, batch_format="pyarrow", batch_size=None
-        )
-    else:
-        assigned = map_partitions_by_key(
-            both, "u", _attach, num_partitions=num_partitions
-        )
-
     def _argmax(table: pa.Table) -> pa.Table:
         d = table["doc_id"].to_numpy(zero_copy_only=False)
         c = table["cluster_id"].to_numpy(zero_copy_only=False)
@@ -379,8 +364,12 @@ def resolve_clusters_best(
             }
         )
 
-    if small:
-        return assigned.map_batches(_argmax, batch_format="pyarrow", batch_size=None)
+    # small corpora: collapse both fixed-cost keyed exchanges into one
+    # gathered block (same kernels, batch = everything)
+    both = both.materialize()
+    if fits(both.count(), DRIVER_EDGES):
+        return gather(both, lambda t: _argmax(_attach(t)))
+    assigned = map_partitions_by_key(both, "u", _attach, num_partitions=num_partitions)
     return map_partitions_by_key(
         assigned, "cluster_id", _argmax, num_partitions=num_partitions
     )

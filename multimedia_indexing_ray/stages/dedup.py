@@ -31,6 +31,7 @@ from multimedia_indexing_ray.stages.partition import (
     DEFAULT_NUM_PARTITIONS,
     PAIR_COALESCE_ROWS,
     fits,
+    gather,
     map_partitions_by_key,
     stable_hash,
 )
@@ -238,11 +239,7 @@ def _dedup_pairs(
     distributed first-per-key path remains for larger sets."""
     pairs = pairs.materialize()
     if fits(pairs.count(), PAIR_COALESCE_ROWS):
-        return pairs.repartition(1).map_batches(
-            lambda b: _first_per_pair_block(b, value_col),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
+        return gather(pairs, lambda b: _first_per_pair_block(b, value_col))
     return dedup_by_key(pairs, ["a_id", "b_id"], [value_col], num_partitions)
 
 

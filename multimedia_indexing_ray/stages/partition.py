@@ -13,7 +13,9 @@ therefore checkpoint manifests) are reproducible.
 
 The exchange is Ray Data's sort-based pull shuffle,
 ``groupby(part).map_groups``: no extra actors, and each partition group
-reaches its kernel as one Arrow table.
+reaches its kernel as one Arrow table.  `gather` is the other reduction
+shape: aggregate-sized per-batch partials coalesced into one block for
+one global finish, with no keyed exchange.
 """
 
 from __future__ import annotations
@@ -126,3 +128,22 @@ def map_partitions_by_key(
 
     with_part = add_partition_column(ds, key, num_partitions)
     return with_part.groupby(PART_COL).map_groups(_apply, batch_format="pyarrow")
+
+
+def gather(
+    ds: "ray.data.Dataset",
+    finish: Callable[[pa.Table], pa.Table],
+    partial: "Callable[[pa.Table], pa.Table] | None" = None,
+) -> "ray.data.Dataset":
+    """Global finish over small partials: run `partial` on each batch
+    (when given), coalesce every partial into one block and call
+    `finish` once on that block.  The partials must fit one block, so
+    `partial` reduces a batch to an aggregate-sized table (per-group
+    sums, a local top-k, a sketch).
+
+    `finish` is never called on an empty table: an input with no rows,
+    or partials that all return 0 rows, yield an empty Dataset without
+    a `finish` call."""
+    if partial is not None:
+        ds = ds.map_batches(partial, batch_format="pyarrow")
+    return ds.repartition(1).map_batches(finish, batch_format="pyarrow", batch_size=None)

@@ -8,6 +8,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as papq
+import pytest
 
 US = 1_000_000
 DAY = 86400 * US
@@ -135,6 +136,54 @@ def test_debounce_frontier_kernel():
     ts2 = np.array([5, 5, 5, 5], np.int64)
     keep2 = debounce_frontier(grp2, ts2, 30)
     assert keep2.tolist() == [True, False, False, True]
+
+
+def _debounce_loop(grp, ts, window):
+    keep, last = [], {}
+    for g, t in zip(grp.tolist(), ts.tolist()):
+        k = g not in last or t >= last[g] + window
+        if k:
+            last[g] = t
+        keep.append(k)
+    return keep
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_debounce_frontier_matches_python_loop(seed):
+    """Random grouped inputs (dense ties, sparse runs, single-row
+    groups, windows from 0 up past the whole span) against a per-row
+    Python loop over the last kept event."""
+    from multimedia_indexing_ray.functions.packing import debounce_frontier
+
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    grp = np.sort(rng.integers(0, int(rng.integers(1, 30)), n))
+    ts = np.empty(n, np.int64)
+    for g in np.unique(grp):
+        m = grp == g
+        ts[m] = np.sort(rng.integers(0, int(rng.integers(1, 500)), int(m.sum())))
+    for window in (0, 1, 7, 30, 1000):
+        got = debounce_frontier(grp, ts, window).tolist()
+        assert got == _debounce_loop(grp, ts, window), (seed, window)
+
+
+def test_debounce_frontier_hot_sparse_key_time_bound():
+    """One key, 50,000 events all at least `window` apart: every event
+    is kept.  A pass per kept event is quadratic here (13.4 s on a
+    1-core container); the successor search plus pointer doubling is
+    O(n log n) and finishes far inside the bound."""
+    import time
+
+    from multimedia_indexing_ray.functions.packing import debounce_frontier
+
+    n, window = 50_000, 30
+    grp = np.zeros(n, np.int64)
+    ts = np.arange(n, dtype=np.int64) * window
+    t0 = time.perf_counter()
+    keep = debounce_frontier(grp, ts, window)
+    elapsed = time.perf_counter() - t0
+    assert keep.all()
+    assert elapsed < 2.0, f"debounce_frontier took {elapsed:.2f}s on 50k sparse events"
 
 
 def _write_funnel_events(d, rows):

@@ -1,10 +1,11 @@
-"""The keyed exchange contract and the per-key scan built on it.
+"""The exchange contracts and the per-key scan built on them.
 
 `map_partitions_by_key` promises each call of `fn` one non-empty
 partition group holding whole keys; `keyed_scan` promises its body a
 group sorted by ``(key, *order)`` with the first row of every key's run
-in `starts`.  The window helpers are checked against per-row brute
-force."""
+in `starts`; `gather` promises one `finish` call over every partial and
+none on an empty table.  The window helpers are checked against per-row
+brute force."""
 
 import pathlib
 import re
@@ -146,11 +147,92 @@ def test_trailing_window_and_session_ids_match_brute_force():
     assert sid.dtype == np.int64
 
 
+def _arrow_blocks(ds) -> "list[pa.Table]":
+    import ray
+
+    return [b for b in ray.get(ds.to_arrow_refs()) if b.num_rows]
+
+
+def _gather_input(n_blocks=4):
+    import ray.data
+
+    rng = np.random.default_rng(5)
+    n = 600
+    table = pa.table(
+        {
+            "k": pa.array(rng.integers(0, 9, n), pa.int64()),
+            "v": pa.array(rng.integers(-50, 50, n), pa.int64()),
+        }
+    )
+    return table, ray.data.from_arrow(table).repartition(n_blocks)
+
+
+def _gather_kernels():
+    """(group_sum, record_call); nested so Ray workers get them by value."""
+
+    def group_sum(t: pa.Table) -> pa.Table:
+        g = pa.TableGroupBy(t.select(["k", "v"]), ["k"]).aggregate([("v", "sum")])
+        return pa.table({"k": g["k"], "v": g["v_sum"]}).sort_by("k")
+
+    def record_call(t: pa.Table) -> pa.Table:
+        return pa.table({"call": [uuid.uuid4().hex], "rows": [t.num_rows]})
+
+    return group_sum, record_call
+
+
+@pytest.mark.parametrize("with_partial", [True, False], ids=["partial", "no_partial"])
+def test_gather_calls_finish_once_over_every_partial(ray_session, with_partial):
+    from multimedia_indexing_ray.stages.partition import gather
+
+    table, ds = _gather_input()
+    group_sum, record_call = _gather_kernels()
+    assert ds.materialize().num_blocks() > 1
+    partial = group_sum if with_partial else None
+    got = gather(ds, record_call, partial).to_pandas()
+    assert len(got) == 1, f"finish ran {len(got)} times"
+    if with_partial:
+        want = sum(group_sum(b).num_rows for b in _arrow_blocks(ds))
+    else:
+        want = table.num_rows
+    assert got["rows"].iloc[0] == want
+
+
+def test_gather_matches_the_coalesce_chain_byte_for_byte(ray_session):
+    from multimedia_indexing_ray.stages.partition import gather
+
+    table, ds = _gather_input()
+    group_sum, _ = _gather_kernels()
+    chain = (
+        ds.map_batches(group_sum, batch_format="pyarrow")
+        .repartition(1)
+        .map_batches(group_sum, batch_format="pyarrow", batch_size=None)
+    )
+    (got,), (want,) = _arrow_blocks(gather(ds, group_sum, group_sum)), _arrow_blocks(chain)
+    assert got.equals(want, check_metadata=True)
+    assert got.equals(group_sum(table))
+
+
+@pytest.mark.parametrize("shape", ["filtered_input", "empty_partials"])
+def test_gather_never_calls_finish_on_empty(ray_session, shape):
+    from multimedia_indexing_ray.stages.partition import gather
+
+    _, ds = _gather_input()
+    _, record_call = _gather_kernels()
+    if shape == "filtered_input":
+        ds, partial = ds.filter(expr="v > 1000"), None
+    else:
+        partial = lambda b: b.slice(0, 0)  # noqa: E731 — non-empty batch, 0-row partial
+    assert gather(ds, record_call, partial).count() == 0
+
+
 def test_user_scans_go_through_keyed_scan():
     """The per-user (user_id, ts, event_id) sort, the trailing-window
     bound and the removed keyed wrappers live only in `stages/keyed.py`
-    (`functions/window_kernel.py` keeps its own window bound); a copy of
-    the scan skeleton anywhere else in the package fails this test."""
+    (`functions/window_kernel.py` keeps its own window bound), and the
+    one-block coalesce lives only in `stages/partition.py:gather`; a
+    copy of the scan skeleton (an Arrow sort or an `np.lexsort((eid, ts,
+    uid))`-style per-user sort in `pipelines/`) or a `.repartition(1)`
+    anywhere else in the package fails this test."""
     import multimedia_indexing_ray
 
     root = pathlib.Path(multimedia_indexing_ray.__file__).parent
@@ -158,6 +240,10 @@ def test_user_scans_go_through_keyed_scan():
         r'\(\s*"user_id",\s*"ascending"\s*\),\s*\(\s*"ts",\s*"ascending"\s*\),'
         r'\s*\(\s*"event_id",\s*"ascending"\s*\)'
     )
+    # np.lexsort's LAST key is the primary one: a user-id array there is
+    # a hand-rolled per-user sort
+    user_lexsort = re.compile(r"np\.lexsort\(\([^()]*\b(?:uid|u)\s*\)\s*\)")
+    coalesce = re.compile(r"\.repartition\(\s*1\s*\)")
     window_call = re.compile(r"(?<!def )\bsliding_lo\(")
     wrapper_ref = re.compile(r"kd\.keyed_|_sort_table")
     hits = []
@@ -166,6 +252,10 @@ def test_user_scans_go_through_keyed_scan():
         text = p.read_text()
         if rel != "stages/keyed.py":
             hits += [f"{rel}: user sort" for _ in user_sort.finditer(text)]
+        if rel.startswith("pipelines/"):
+            hits += [f"{rel}: {m.group(0)}" for m in user_lexsort.finditer(text)]
+        if rel != "stages/partition.py":
+            hits += [f"{rel}: repartition(1)" for _ in coalesce.finditer(text)]
         if rel not in ("stages/keyed.py", "functions/window_kernel.py"):
             hits += [f"{rel}: sliding_lo" for _ in window_call.finditer(text)]
         hits += [f"{rel}: {m.group(0)}" for m in wrapper_ref.finditer(text)]

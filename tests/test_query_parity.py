@@ -31,10 +31,19 @@ def _to_pandas(res):
     raise TypeError(type(res))
 
 
-def _normalize(df: pd.DataFrame) -> pd.DataFrame:
-    df = df[sorted(df.columns)]
-    df = df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
-    return df
+def _load_script(name):
+    import importlib.util
+
+    path = _os.path.join(_os.path.dirname(__file__), "..", "scripts", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+# one normalization and one strict compare, shared with the sweep script
+_sweep = _load_script("correctness_sweep")
+_normalize = _sweep.normalize
 
 
 def _query_names():
@@ -44,13 +53,7 @@ def _query_names():
 
 
 def _gated_names():
-    import importlib.util
-
-    path = _os.path.join(_os.path.dirname(__file__), "..", "scripts", "scale_rehearsal.py")
-    spec = importlib.util.spec_from_file_location("scale_rehearsal", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.GATED
+    return _load_script("scale_rehearsal").GATED
 
 
 @pytest.mark.parametrize("name", _query_names())
@@ -91,23 +94,8 @@ def _assert_matches_oracle(con, name, res):
 
     mine = _normalize(_to_pandas(res))
     theirs = _normalize(con.execute(e.oracle_sql()[name]).df())
-    assert list(mine.columns) == list(theirs.columns), f"{name}: column names differ"
-    assert len(mine) == len(theirs), f"{name}: row count {len(mine)} != {len(theirs)}"
-    for c in mine.columns:
-        a, b = mine[c], theirs[c]
-        if a.dtype.kind in "fc" or b.dtype.kind in "fc":
-            an, bn = a.astype(float), b.astype(float)
-            assert an.isna().equals(bn.isna()), f"{name}.{c}: null mask differs"
-            np.testing.assert_allclose(
-                an.fillna(0).to_numpy(), bn.fillna(0).to_numpy(), rtol=0, atol=0,
-                err_msg=f"{name}.{c}",
-            )
-        elif np.issubdtype(a.dtype, np.datetime64) or np.issubdtype(b.dtype, np.datetime64):
-            assert (
-                a.astype("datetime64[us]").tolist() == b.astype("datetime64[us]").tolist()
-            ), f"{name}.{c}"
-        else:
-            assert a.tolist() == b.tolist(), f"{name}.{c}: values differ"
+    diff = _sweep.mismatch(mine, theirs)
+    assert diff is None, f"{name}: {diff}"
 
 
 def test_rows_only_queries_run(ray_session):
