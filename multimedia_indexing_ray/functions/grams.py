@@ -106,18 +106,29 @@ def distinct(values: np.ndarray, key: np.ndarray) -> "tuple[np.ndarray, np.ndarr
 
 
 def pair_counts(
-    cp: np.ndarray, starts: np.ndarray, skip: np.ndarray
+    cp: np.ndarray,
+    starts: np.ndarray,
+    skip: np.ndarray,
+    weights: "np.ndarray | None" = None,
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Adjacent codepoint pairs inside one document with neither
     codepoint in ``skip``: (distinct keys ``first << 32 | second`` as
-    int64, ascending; occurrence counts)."""
+    int64, ascending; occurrence counts, each occurrence counted
+    ``weights[document]`` times when `weights` (int64, one per
+    document) is given)."""
     ok = ~np.isin(cp, skip)
     ok = ok[:-1] & ok[1:]
     cut = starts[1:-1]
     ok[cut[(cut > 0) & (cut < len(cp))] - 1] = False  # pairs across documents
     key = (cp[:-1][ok].astype(np.int64) << 32) | cp[1:][ok]
-    keys, n = np.unique(key, return_counts=True)
-    return keys, n.astype(np.int64)
+    if weights is None:
+        keys, n = np.unique(key, return_counts=True)
+        return keys, n.astype(np.int64)
+    doc = np.repeat(np.arange(len(starts) - 1), np.diff(starts))
+    keys, inv = np.unique(key, return_inverse=True)
+    n = np.zeros(len(keys), np.int64)
+    np.add.at(n, inv, np.asarray(weights, np.int64)[doc[:-1][ok]])
+    return keys, n
 
 
 def pair_strings(keys: np.ndarray) -> pa.Array:

@@ -3505,6 +3505,9 @@ def q_approx_distinct(sf_dir: str):
         g = pa.TableGroupBy(t, ["bucket"]).aggregate([("rank", "max")])
         return pa.table({"bucket": g["bucket"], "rank": g["rank_max"]})
 
+    # every register at 0: an empty input's sketch
+    zero = pa.table({"bucket": np.arange(M, dtype=np.int64), "rank": np.zeros(M, np.int64)})
+
     def _final(batch: pa.Table) -> pa.Table:
         reg = np.zeros(M, np.int64)
         np.maximum.at(reg, batch["bucket"].to_numpy(), batch["rank"].to_numpy())
@@ -3519,7 +3522,7 @@ def q_approx_distinct(sf_dir: str):
             }
         )
 
-    return gather(ev, _final, _partial)
+    return gather(ev, _final, _partial, seed=zero)
 
 
 @register(
@@ -6596,7 +6599,14 @@ def q_profile_events(sf_dir: str):
             }
         )
 
-    return gather(ev, _final, _partial)
+    # every column counted over no rows, with null extrema
+    names = ["event_id", "user_id", "ts", "value_cents", "event_type"]
+    zero = pa.table(
+        [pa.array(names), pa.array([0] * 5), pa.array([0] * 5)]
+        + [pa.nulls(5, f.type) for f in _P_SCHEMA][3:],
+        schema=_P_SCHEMA,
+    )
+    return gather(ev, _final, _partial, seed=zero)
 
 
 def _curation_v2_sql() -> str:
@@ -7824,6 +7834,7 @@ def q_dataset_checksum(sf_dir: str):
 
 # RE2 \s — the whitespace set shared with token_count's '\S+'
 _BPE_WS = np.array([9, 10, 12, 13, 32], np.uint32)
+_BPE_WS_RE = "[" + "".join(f"\\x{c:02x}" for c in _BPE_WS) + "]+"
 
 
 @register(
@@ -10213,6 +10224,8 @@ def q_auc_value_purchase(sf_dir: str):
     _P_SCHEMA = pa.schema(
         [("cents", pa.int64()), ("np", pa.int64()), ("nt", pa.int64())]
     )
+    _OUT = [("n_pos", pa.int64()), ("n_neg", pa.int64()), ("auc_num", pa.int64()),
+            ("auc_den", pa.int64()), ("auc", pa.float64())]
 
     def _partial(batch: pa.Table) -> pa.Table:
         cents = _cents(batch["value"].to_numpy(zero_copy_only=False)).astype(np.int64)
@@ -10231,6 +10244,8 @@ def q_auc_value_purchase(sf_dir: str):
         cents = g["cents"].to_numpy()
         np_ = g["np"].to_numpy()
         nt = g["nt"].to_numpy()
+        if not nt.any():  # the seed alone: SQL sums over no rows are NULL
+            return pa.table({c: pa.nulls(1, ty) for c, ty in _OUT})
         order = np.argsort(cents, kind="stable")
         np_, nt = np_[order], nt[order]
         # tiny aggregate-sized scan: Python ints (no overflow at any n)
@@ -10250,7 +10265,8 @@ def q_auc_value_purchase(sf_dir: str):
             }
         )
 
-    return gather(ev, _finish, _partial)
+    seed = pa.table({"cents": [0], "np": [0], "nt": [0]}, schema=_P_SCHEMA)
+    return gather(ev, _finish, _partial, seed=seed)
 
 
 @register(
@@ -11936,6 +11952,23 @@ def _bpe_sql() -> str:
     return "".join(parts) + "\n    " + unions
 
 
+def _bpe_best(keys: np.ndarray, n: np.ndarray) -> "tuple[str, int]":
+    """The round's winner: highest count, ties to the smallest pair
+    (packed keys order like their two-codepoint strings)."""
+    i = np.lexsort((keys, -n))[0]
+    k = int(keys[i])
+    return chr(k >> 32) + chr(k & 0xFFFFFFFF), int(n[i])
+
+
+def _bpe_words_batch(batch: pa.Table) -> pa.Table:
+    """Every word occurrence of the batch as a ``(word, n=1)`` row; a
+    word is a maximal run of codepoints outside `_BPE_WS`, the oracle's
+    ``\\S+``."""
+    words = pc.list_flatten(pc.split_pattern_regex(batch["text"], _BPE_WS_RE))
+    words = words.filter(pc.greater(pc.binary_length(words), 0))
+    return pa.table({"word": words, "n": pa.array(np.ones(len(words), np.int64))})
+
+
 def _bpe_pair_counts_batch(texts: pa.ChunkedArray, merges) -> pa.Table:
     """Apply the merge list (pair string -> marker char) to the batch's
     text, then count adjacent non-whitespace char pairs inside each
@@ -11962,34 +11995,50 @@ def q_bpe_train_merges(sf_dir: str):
     replace_substring's greedy non-overlap scan (verified: 'aaa' with
     'aa' -> 'Xa' on both).
 
-    Scale plan: each round is ONE stateless corpus pass (apply the
-    <= 8-entry merge list, count pairs vectorized over the batch's one
-    codepoint array) into a `gather` grouped sum of (pair, n)
-    partials — the aggregate is bounded by the live symbol alphabet
-    squared, the same bounded-vocabulary regime as `bpe_pair_counts`;
-    the driver only picks the per-round argmax.  Words never
-    shuffle."""
+    Plan: ONE corpus pass counts each distinct word (a `gather`
+    grouped sum of per-batch ``(word, n)`` partials); the 8 rounds then
+    run in the driver over the distinct words, pair counts weighted by
+    each word's n.  A pair never holds whitespace, so the greedy
+    replace on each word equals the replace on the whole document.
+    Above `VOCAB_ROWS` distinct words each round is one stateless
+    corpus pass instead (apply the <= 8-entry merge list, count pairs
+    over the batch's codepoint array) into a `gather` grouped sum of
+    (pair, n) partials; the driver only picks the per-round argmax."""
     docs = _rp(sf_dir, "documents", ["text"])
+    vocab = _tiny_group_sum(
+        docs.map_batches(_bpe_words_batch, batch_format="pyarrow"), ["word"], ["n"]
+    ).materialize()
 
-    merges: "list[tuple[str, str]]" = []
+    n_words = vocab.count()
     out_rows = []
-    for r in range(1, _BPE_ROUNDS + 1):
-        mlist = list(merges)
+    if 0 < n_words and fits(n_words, VOCAB_ROWS):
+        table = pa.concat_tables(ray.get(vocab.to_arrow_refs()))
+        words, weights = table["word"], table["n"].to_numpy()
+        for r in range(1, _BPE_ROUNDS + 1):
+            keys, n = grams.pair_counts(*grams.decode(words), _BPE_WS, weights)
+            if len(keys) == 0:
+                break
+            pair, count = _bpe_best(keys, n)
+            out_rows.append((r, pair, count))
+            words = pc.replace_substring(
+                words, pattern=pair, replacement=chr(_BPE_MARKER0 + r - 1)
+            )
+    else:
+        merges: "list[tuple[str, str]]" = []
+        for r in range(1, _BPE_ROUNDS + 1):
+            mlist = list(merges)
 
-        def _partial(batch: pa.Table, _m=mlist) -> pa.Table:
-            return _bpe_pair_counts_batch(batch["text"], _m)
+            def _partial(batch: pa.Table, _m=mlist) -> pa.Table:
+                return _bpe_pair_counts_batch(batch["text"], _m)
 
-        counts = _tiny_group_sum(
-            docs.map_batches(_partial, batch_format="pyarrow"), ["pk"], ["n"]
-        ).to_pandas()
-        if len(counts) == 0:
-            break
-        pk = counts["pk"].to_numpy()
-        n = counts["n"].to_numpy()
-        pairs = [chr(int(k) >> 32) + chr(int(k) & 0xFFFFFFFF) for k in pk]
-        best = min(range(len(pairs)), key=lambda i: (-int(n[i]), pairs[i]))
-        out_rows.append((r, pairs[best], int(n[best])))
-        merges.append((pairs[best], chr(_BPE_MARKER0 + r - 1)))
+            counts = _tiny_group_sum(
+                docs.map_batches(_partial, batch_format="pyarrow"), ["pk"], ["n"]
+            ).to_pandas()
+            if len(counts) == 0:
+                break
+            pair, count = _bpe_best(counts["pk"].to_numpy(), counts["n"].to_numpy())
+            out_rows.append((r, pair, count))
+            merges.append((pair, chr(_BPE_MARKER0 + r - 1)))
 
     return pa.table(
         {

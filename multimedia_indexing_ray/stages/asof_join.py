@@ -13,9 +13,10 @@ transcript engine's analogs are temporal:
 - ``range_join``: every left row with ``t + lower <= t' <= t + upper``
   (inclusive; inner semantics), expanded vectorized.
 
-Physical plan (shared): both sides hash-partitioned on the key (ONE
-shuffle, same partitioner as the feature engine), tagged, unioned; each
-partition group merged with global ``np.searchsorted`` over a
+Physical plan (shared): both sides tagged, unioned and handed to one
+`map_partitions_by_key` stage on the key (one driver call under
+`LOCAL_BYTES`, else ONE shuffle with the feature engine's partitioner);
+each group merged with global ``np.searchsorted`` over a
 key-segment-separated monotone time axis — no per-key Python loops.
 Zero temporal leakage: a backward match can never see ``t' > t``.
 
@@ -36,8 +37,7 @@ import ray.data
 
 from multimedia_indexing_ray.stages.partition import (
     DEFAULT_NUM_PARTITIONS,
-    PART_COL,
-    partition_ids,
+    map_partitions_by_key,
 )
 
 SIDE_COL = "__side"
@@ -52,10 +52,9 @@ def _prep_side(
     side: int,
     all_fields: "list[pa.Field]",
     float_names: "list[str]",
-    num_partitions: int,
 ) -> "ray.data.Dataset":
-    """Rename key/on to unified names, add side tag + partition id, and
-    pad to the union schema with typed nulls.
+    """Rename key/on to unified names, add the side tag, and pad to the
+    union schema with typed nulls.
 
     The left side's float64 payload columns are PACKED into one
     large_list pair (values + bit-packed validity) so probe/right rows
@@ -106,14 +105,12 @@ def _prep_side(
                     offs, pa.array([], pa.bool_())
                 )
         cols[SIDE_COL] = pa.array(np.full(n, side, dtype=np.int8))
-        keys = cols["__k"].to_numpy(zero_copy_only=False)
-        cols[PART_COL] = pa.array(partition_ids(keys, num_partitions))
         return pa.table(cols)
 
     return ds.map_batches(_fn, batch_format="pyarrow")
 
 
-def _build_sides(left, right, left_key, left_on, right_key, right_on, num_partitions):
+def _build_sides(left, right, left_key, left_on, right_key, right_on):
     """Shared side preparation: union schema, left-payload renaming,
     per-side prep.  Returns (lds, rds, l_out_names, right_payload,
     on_is_temporal, float_names)."""
@@ -145,9 +142,9 @@ def _build_sides(left, right, left_key, left_on, right_key, right_on, num_partit
 
     lds = _prep_side(
         left.map_batches(_rename_left, batch_format="pyarrow"),
-        left_key, left_on, 0, fields, float_names, num_partitions,
+        left_key, left_on, 0, fields, float_names,
     )
-    rds = _prep_side(right, right_key, right_on, 1, fields, float_names, num_partitions)
+    rds = _prep_side(right, right_key, right_on, 1, fields, float_names)
     l_out_names = [n for n in left_payload if n != left_on]
     on_is_temporal = pa.types.is_temporal(on_type)
     return lds, rds, l_out_names, right_payload, on_is_temporal, float_names
@@ -225,7 +222,7 @@ def asof_join(
     right_key = right_key or left_key
     right_on = right_on or left_on
     lds, rds, l_out_names, right_payload, temporal, float_names = _build_sides(
-        left, right, left_key, left_on, right_key, right_on, num_partitions
+        left, right, left_key, left_on, right_key, right_on
     )
     if direction == "backward":
         side_of = "right" if allow_exact_matches else "left"
@@ -241,7 +238,6 @@ def asof_join(
     )
 
     def _merge(table: pa.Table) -> pa.Table:
-        table = table.drop_columns([PART_COL])
         lt = table.filter(pc.equal(table[SIDE_COL], 0))
         rt = table.filter(pc.equal(table[SIDE_COL], 1))
         nf = len(float_names)
@@ -337,7 +333,7 @@ def asof_join(
             out = out.filter(vmask)
         return out
 
-    return lds.union(rds).groupby(PART_COL).map_groups(_merge, batch_format="pyarrow")
+    return map_partitions_by_key(lds.union(rds), "__k", _merge, num_partitions)
 
 
 def range_join(
@@ -367,7 +363,7 @@ def range_join(
     if lower_s > upper_s:
         raise ValueError("lower_s must be <= upper_s")
     lds, rds, l_out_names, right_payload, temporal, float_names = _build_sides(
-        left, right, left_key, left_on, right_key, right_on, num_partitions
+        left, right, left_key, left_on, right_key, right_on
     )
     scale = 1_000_000 if temporal else 1
     if not temporal and not (float(lower_s).is_integer() and float(upper_s).is_integer()):
@@ -382,7 +378,6 @@ def range_join(
     margin = max(abs(lower), abs(upper))
 
     def _merge(table: pa.Table) -> pa.Table:
-        table = table.drop_columns([PART_COL])
         lt = table.filter(pc.equal(table[SIDE_COL], 0))
         rt = table.filter(pc.equal(table[SIDE_COL], 1))
         nf = len(float_names)
@@ -437,7 +432,7 @@ def range_join(
             cols[f"{matched_prefix}{n}"] = src.take(l_take)
         return pa.table(cols)
 
-    return lds.union(rds).groupby(PART_COL).map_groups(_merge, batch_format="pyarrow")
+    return map_partitions_by_key(lds.union(rds), "__k", _merge, num_partitions)
 
 
 def asof_lastk_join(
@@ -515,8 +510,6 @@ def asof_lastk_join(
         for p in r_payload:
             cols[p] = batch[p] if side == 1 else pa.nulls(n, r_fields[p])
         cols[SIDE_COL] = pa.array(np.full(n, side, dtype=np.int8))
-        keys = cols["__k"].to_numpy(zero_copy_only=False)
-        cols[PART_COL] = pa.array(partition_ids(keys, num_partitions))
         return pa.table(cols)
 
     lds = left.map_batches(
@@ -527,7 +520,6 @@ def asof_lastk_join(
     )
 
     def _merge(table: pa.Table) -> pa.Table:
-        table = table.drop_columns([PART_COL])
         lt = table.filter(pc.equal(table[SIDE_COL], 0))
         rt = table.filter(pc.equal(table[SIDE_COL], 1))
         sort_keys = [("__k", "ascending"), ("__t", "ascending")]
@@ -568,4 +560,4 @@ def asof_lastk_join(
         out_cols[f"n_{out_prefix}"] = pa.array(n_hist, pa.int64())
         return pa.table(out_cols)
 
-    return lds.union(rds).groupby(PART_COL).map_groups(_merge, batch_format="pyarrow")
+    return map_partitions_by_key(lds.union(rds), "__k", _merge, num_partitions)

@@ -6,7 +6,7 @@ Pipeline shape (SURVEY.md §7.1; FolderIndexingMT.java:48-168 Ray analog):
       -> prefeaturize (stateless map_batches, Arrow zero-copy; computes
          per-turn scalars and DROPS the heavy text column before the
          shuffle — column pruning at the exchange)
-      -> map_partitions_by_key(conv_id)  [the one mandatory shuffle]
+      -> exchange_by_key(conv_id)  [the one mandatory shuffle]
       -> WindowKernelFn (sort within partition by (conv_id, ts, turn_idx),
          run the vectorized window/session/lag kernel)
 
@@ -31,7 +31,7 @@ from multimedia_indexing_ray.specs import DEFAULT_SPECS, FeatureSpecs
 from multimedia_indexing_ray.stages.hotkeys import CHUNK_COL, EMIT_COL
 from multimedia_indexing_ray.stages.partition import (
     DEFAULT_NUM_PARTITIONS,
-    map_partitions_by_key,
+    exchange_by_key,
 )
 
 SORT_KEYS = [("conv_id", "ascending"), ("ts", "ascending"), ("turn_idx", "ascending")]
@@ -211,7 +211,7 @@ def compute_features(
         if not plan.empty:
             pre = assign_chunks(pre, plan)
             part_key = ["conv_id", CHUNK_COL]
-    return map_partitions_by_key(pre, part_key, kernel, num_partitions=num_partitions)
+    return exchange_by_key(pre, part_key, kernel, num_partitions=num_partitions)
 
 
 def normalize_feature_blocks(

@@ -8,8 +8,9 @@ Here:
 - ``broadcast_join``: the small side is ``ray.put`` ONCE and joined
   zero-copy inside every ``map_batches`` task (no shuffle — the
   DistributedCache-artifact pattern, `visual/mapreduce/VisualJob.java:56-62`).
-- ``hash_join``: both sides hash-partitioned on the key into B buckets
-  (ONE shuffle each), then each bucket pair is joined with pyarrow's
+- ``hash_join``: both sides tagged and unioned into one
+  `map_partitions_by_key` stage on the key hash (one driver call under
+  `LOCAL_BYTES`, else B hash buckets), each group joined with pyarrow's
   vectorized hash join.  Skew note: bucket count is the salting knob —
   hot keys should be pre-split upstream (see stages/hotkeys.py).
 """
@@ -27,12 +28,12 @@ import ray.data
 
 from multimedia_indexing_ray.stages.partition import (
     DEFAULT_NUM_PARTITIONS,
-    PART_COL,
-    partition_ids,
+    map_partitions_by_key,
     stable_hash,
 )
 
 SIDE_COL = "__side"
+HASH_COL = "__keyhash"
 
 
 def broadcast_join(
@@ -113,7 +114,7 @@ def hash_join(
             for k in key_cols:
                 vals = batch[k].to_numpy(zero_copy_only=False)
                 h = h * np.uint64(1000003) ^ stable_hash(vals)
-            cols[PART_COL] = pa.array((h % np.uint64(num_partitions)).astype(np.int32))
+            cols[HASH_COL] = pa.array(h)
             return pa.table(cols)
 
         return _fn
@@ -122,12 +123,11 @@ def hash_join(
     rds = right.map_batches(_prep(1, right_on), batch_format="pyarrow")
 
     def _merge(table: pa.Table) -> pa.Table:
-        table = table.drop_columns([PART_COL])
         lt = table.filter(pc.equal(table[SIDE_COL], 0)).select(l_names)
         rt = table.filter(pc.equal(table[SIDE_COL], 1)).select(r_names)
         return lt.join(rt, keys=left_on, right_keys=right_on, join_type=join_type)
 
-    return lds.union(rds).groupby(PART_COL).map_groups(_merge, batch_format="pyarrow")
+    return map_partitions_by_key(lds.union(rds), HASH_COL, _merge, num_partitions)
 
 
 def build_bloom(

@@ -1,19 +1,24 @@
-"""Explicit conversation partitioning — the engine's ONE mandatory shuffle.
+"""Explicit keyed partitioning: the exchange every keyed stage shares.
 
 The reference routes vectors to inverted lists via nearest-coarse-centroid
 assignment (`visual/datastructures/IVFPQ.java:315,547-601`) — its
 partitioner.  Here the partitioner is a stable hash of the entity key
 (``conv_id``) into ``num_partitions`` buckets; every downstream window /
-session / as-of kernel relies on the invariant that ALL rows of a
-conversation land in the same partition group.
+session / as-of kernel relies on the invariant that ALL rows of a key
+land in the same partition group.
 
 Hashing uses ``pandas.util.hash_array`` (SipHash-1-3 with a fixed key) —
 stable across processes, platforms and runs, so partition assignment (and
 therefore checkpoint manifests) are reproducible.
 
-The exchange is Ray Data's sort-based pull shuffle,
+`exchange_by_key` is Ray Data's sort-based pull shuffle,
 ``groupby(part).map_groups``: no extra actors, and each partition group
-reaches its kernel as one Arrow table.  `gather` is the other reduction
+reaches its kernel as one Arrow table.  The transcript engine
+(`stages/features.py`) always takes it.  `map_partitions_by_key` is the
+generic keyed stage: it materializes its input and, when the input fits
+`LOCAL_BYTES`, calls the kernel once on the whole table in the driver,
+since a keyed exchange's fixed cost dwarfs the work at that size; above
+the cap it takes `exchange_by_key`.  `gather` is the other reduction
 shape: aggregate-sized per-batch partials coalesced into one block for
 one global finish, with no keyed exchange.
 """
@@ -28,6 +33,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+import ray
 import ray.data
 
 logger = logging.getLogger(__name__)
@@ -52,10 +58,12 @@ BROADCAST_IDS = 5_000_000  # candidate ids broadcast for exact verify
 DRIVER_EDGES = 2_000_000  # graph kernels' in-memory loop
 HOT_DETAIL_ROWS = 5_000_000  # hot-key detail pass on the driver
 FUSED_PRE_ROWS = 100_000_000  # materialized prefeature view
+LOCAL_BYTES = 64 * 1024**2  # keyed stage input run in one driver call
 
 
 def fits(n: int, cap: int) -> bool:
-    """True when `n` rows stay on the in-process plan under `cap`.
+    """True when `n` (rows, or bytes for `LOCAL_BYTES`) stays on the
+    in-process plan under `cap`.
 
     ``GRAFT_FORCE_SCALE_PLAN=1`` sets every cap to 0, so each non-empty
     input takes its at-scale plan (`scripts/scale_rehearsal.py` and the
@@ -107,6 +115,35 @@ def map_partitions_by_key(
     fn: Callable[[pa.Table], pa.Table],
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
 ) -> "ray.data.Dataset":
+    """Apply `fn` to groups of whole keys (`key` is a column name or a
+    list of them), each group one Arrow table.
+
+    The input is materialized first.  When it is non-empty and its bytes
+    fit `LOCAL_BYTES`, `fn` runs ONCE, in the driver, on the whole table
+    (every key in one call); otherwise the groups are the partition
+    groups of `exchange_by_key`.  Either way `fn` never sees an empty
+    table, is not called for an empty input, and must return an Arrow
+    table (schema consistent across calls)."""
+    mat = ds.materialize()
+    size = mat.size_bytes()
+    if 0 < size and fits(size, LOCAL_BYTES):
+        blocks = [
+            b.replace_schema_metadata(None)
+            for b in ray.get(mat.to_arrow_refs())
+            if b.num_rows
+        ]
+        if blocks:
+            whole = pa.concat_tables(blocks, promote_options="default")
+            return ray.data.from_arrow(fn(whole.combine_chunks()))
+    return exchange_by_key(mat, key, fn, num_partitions)
+
+
+def exchange_by_key(
+    ds: "ray.data.Dataset",
+    key,
+    fn: Callable[[pa.Table], pa.Table],
+    num_partitions: int = DEFAULT_NUM_PARTITIONS,
+) -> "ray.data.Dataset":
     """Shuffle so all rows sharing `key` (a column name or a list of
     them) are in one group, then apply `fn` to each whole partition group
     as a single Arrow table.
@@ -134,6 +171,7 @@ def gather(
     ds: "ray.data.Dataset",
     finish: Callable[[pa.Table], pa.Table],
     partial: "Callable[[pa.Table], pa.Table] | None" = None,
+    seed: "pa.Table | None" = None,
 ) -> "ray.data.Dataset":
     """Global finish over small partials: run `partial` on each batch
     (when given), coalesce every partial into one block and call
@@ -143,7 +181,12 @@ def gather(
 
     `finish` is never called on an empty table: an input with no rows,
     or partials that all return 0 rows, yield an empty Dataset without
-    a `finish` call."""
+    a `finish` call.  A non-empty `seed` (a partial of the aggregate's
+    identity, in the partials' schema) joins the partials, so `finish`
+    runs once even on an empty input: the empty-input row of a global
+    aggregate with no GROUP BY."""
     if partial is not None:
         ds = ds.map_batches(partial, batch_format="pyarrow")
+    if seed is not None:
+        ds = ds.union(ray.data.from_arrow(seed))
     return ds.repartition(1).map_batches(finish, batch_format="pyarrow", batch_size=None)

@@ -42,31 +42,137 @@ SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 GATE_SF = os.environ.get("GRAFT_REHEARSAL_SF", "/root/testdata/sf0.01")
 
 # every registry query with a size gate (found by recording each `fits`
-# call over one run of the whole registry at sf0.001: 22 of 203 call it,
-# and each of them has a gate whose input fits its cap there)
+# call over one run of the whole registry at sf0.001: 127 of 197 oracle
+# queries call it with an input under its cap; every keyed stage does,
+# through `map_partitions_by_key`'s `LOCAL_BYTES` gate)
 GATED = (
-    "region_revenue",
-    "shipping_priority",
-    "nation_revenue_share",
-    "users_without_high_value",
-    "dedup_clusters",
-    "dedup_canonical_best",
-    "dup_cluster_size_hist",
-    "kcore_neardup",
-    "pagerank_neardup",
-    "triangle_counts_neardup",
-    "labelprop_neardup",
-    "minhash_dedup_docs",
-    "embedding_neardup_lsh",
-    "ngram_jaccard_pairs",
+    "asof_last3_purchases",
+    "asof_nearest_purchase",
+    "asof_next_purchase_after_error",
+    "asof_purchase_before_error",
+    "asof_purchase_before_error_1h",
+    "backfill_purchase",
+    "basket_part_pairs",
+    "bm25_top_docs",
+    "bpe_pair_counts",
+    "bpe_train_merges",
+    "chi2_term_lang",
+    "churn_label_7d",
     "containment_neardup",
-    "editdist_neardup",
+    "corpus_curation",
     "corpus_curation_v2",
-    "tfidf_top_terms",
-    "top_term_docs",
-    "lm_perplexity_docs",
+    "cum_distinct_types_per_user",
+    "daily_purchase_error_join",
+    "daily_user_spend_rank",
+    "dataset_card_by_source_lang",
+    "dau_wau_stickiness",
+    "debounce_events",
+    "dedup_canonical_best",
+    "dedup_clusters",
+    "dedup_exact_docs",
+    "dense_user_ids",
+    "distinct_users",
+    "distinct_users_hourly",
+    "dup_cluster_size_hist",
     "dup_span_docs",
     "dup_span_scrub",
+    "editdist_neardup",
+    "embedding_neardup",
+    "embedding_neardup_lsh",
+    "event_transition_probs",
+    "event_type_streak",
+    "ewma_value_per_user",
+    "fk_integrity_audit",
+    "gini_by_type",
+    "global_sliding_1h",
+    "group_sample_k",
+    "group_split_assign",
+    "hourly_concurrent_sessions",
+    "inverted_index_terms",
+    "kcore_neardup",
+    "key_skew_report",
+    "labelprop_neardup",
+    "lag_lead_value",
+    "late_supplier_blame",
+    "lm_perplexity_docs",
+    "mad_outlier_per_type",
+    "media_audio_dups",
+    "media_mixed_dups",
+    "media_phash_dups",
+    "media_video_dups",
+    "median_value_per_user",
+    "minhash_dedup_docs",
+    "mutual_knn_pairs",
+    "nation_revenue_share",
+    "new_user_rate_daily",
+    "ngram_jaccard_pairs",
+    "ntile_value_per_type",
+    "nucleus_select_docs",
+    "oov_rate_docs",
+    "order_total_reconciliation",
+    "orders_per_customer_hist",
+    "outlier_events_p99",
+    "pack_context_windows",
+    "pagerank_neardup",
+    "purchases_between_errors",
+    "quantile_normalize_chars",
+    "quantile_sketch_conformance",
+    "range_join_purchases_near_errors",
+    "region_revenue",
+    "resample_1h_ffill",
+    "resample_1h_interp",
+    "retention_cohorts",
+    "rolling_corr_3d",
+    "rolling_iqr_1h",
+    "rolling_median_1h",
+    "rolling_minmax_1h",
+    "rolling_mode_1h",
+    "rolling_p90_1h",
+    "rolling_pctrank_1h",
+    "rolling_rowframe_5",
+    "rrf_fusion_docs",
+    "semdedup_docs",
+    "session_day_split",
+    "session_funnel",
+    "session_length_hist",
+    "session_stats_30m",
+    "session_trigrams",
+    "sessionize_30m",
+    "shingle_novelty_docs",
+    "shipping_priority",
+    "sliding_1h",
+    "sliding_distinct_users_1h",
+    "small_quantity_parts",
+    "snapshot_diff",
+    "source_overlap_matrix",
+    "spend_trend_per_user",
+    "target_encode_user",
+    "temporal_split_assign",
+    "term_cooccurrence",
+    "tfidf_top_terms",
+    "time_in_state_by_type",
+    "time_to_purchase_by_cohort",
+    "token_shard_docs",
+    "top_customers",
+    "top_term_docs",
+    "topk_per_user",
+    "triangle_counts_neardup",
+    "tumbling_1h",
+    "turn_features",
+    "tv_drift_by_type",
+    "twa_value_1h",
+    "type_diversity_per_user",
+    "url_fetch_phash_dups",
+    "user_feature_store",
+    "user_session_profile",
+    "user_tenure_features",
+    "user_type_pivot",
+    "user_type_unpivot",
+    "users_without_high_value",
+    "value_quantiles_by_type",
+    "window_funnel_levels",
+    "zscore_value_per_user",
+    "zscore_value_pit",
 )
 
 

@@ -151,9 +151,27 @@ def _normalize(df: pd.DataFrame) -> pd.DataFrame:
 
 @pytest.mark.parametrize("name", QUERIES)
 def test_edge_events_query_parity(ray_session, con, edge_dir, name):
+    _assert_parity(con, edge_dir, name)
+
+
+@pytest.mark.parametrize(
+    "name", ["approx_distinct_users", "profile_events", "auc_value_purchase"]
+)
+def test_global_aggregates_answer_an_empty_events_table(ray_session, tmp_path, name):
+    """A global aggregate with no GROUP BY answers a 0-row input with
+    one row per aggregate (counts 0, sums and extrema NULL), as DuckDB
+    does, not with no rows."""
+    t = papq.read_table("/root/testdata/sf0.001/events.parquet").slice(0, 0)
+    papq.write_table(t, str(tmp_path / "events.parquet"))
+    c = duckdb.connect()
+    c.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{tmp_path}/events.parquet')")
+    _assert_parity(c, str(tmp_path), name)
+
+
+def _assert_parity(con, sf_dir: str, name: str) -> None:
     import __ray_entry__ as e
 
-    mine = _normalize(e.queries()[name](edge_dir).to_pandas())
+    mine = _normalize(e.queries()[name](sf_dir).to_pandas())
     theirs = _normalize(con.execute(e.oracle_sql()[name]).df())
     assert list(mine.columns) == list(theirs.columns), f"{name}: columns differ"
     assert len(mine) == len(theirs), f"{name}: {len(mine)} != {len(theirs)} rows"

@@ -1,11 +1,14 @@
 """The exchange contracts and the per-key scan built on them.
 
-`map_partitions_by_key` promises each call of `fn` one non-empty
-partition group holding whole keys; `keyed_scan` promises its body a
-group sorted by ``(key, *order)`` with the first row of every key's run
-in `starts`; `gather` promises one `finish` call over every partial and
-none on an empty table.  The window helpers are checked against per-row
-brute force."""
+`map_partitions_by_key` promises each call of `fn` one non-empty group
+holding whole keys: under `LOCAL_BYTES` one call with every row (the
+local plan), above it or with ``GRAFT_FORCE_SCALE_PLAN=1`` one call per
+partition group of the sort exchange (the forced plan); both plans give
+the same rows.  `keyed_scan` promises its body a group sorted by
+``(key, *order)`` with the first row of every key's run in `starts`;
+`gather` promises one `finish` call over every partial and none on an
+empty table.  The window helpers are checked against per-row brute
+force."""
 
 import pathlib
 import re
@@ -15,6 +18,21 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+
+PLANS = ["local", "forced"]
+
+
+def _plan_ids(plan: str, case_id: str) -> str:
+    """The local plan keeps the case's plain id; the forced plan adds a
+    suffix."""
+    return case_id if plan == "local" else f"{case_id}-forced"
+
+
+def _use_plan(monkeypatch, plan: str) -> None:
+    if plan == "forced":
+        monkeypatch.setenv("GRAFT_FORCE_SCALE_PLAN", "1")
+    else:
+        monkeypatch.delenv("GRAFT_FORCE_SCALE_PLAN", raising=False)
 
 
 def _calls(ds, key, num_partitions):
@@ -39,19 +57,14 @@ def _calls(ds, key, num_partitions):
     return pd.DataFrame(out.to_pandas())
 
 
-@pytest.mark.parametrize(
-    "case,key,num_partitions",
-    [
-        pytest.param("empty", "k", 8, id="empty"),
-        pytest.param("three_keys", "k", 16, id="three_keys_16_partitions"),
-        pytest.param("two_column_key", ["k", "j"], 8, id="two_column_key"),
-    ],
-)
-def test_map_partitions_by_key_calls_hold_whole_nonempty_groups(
-    ray_session, case, key, num_partitions
-):
-    import ray.data
+_CASES = [
+    ("empty", "k", 8, "empty"),
+    ("three_keys", "k", 16, "three_keys_16_partitions"),
+    ("two_column_key", ["k", "j"], 8, "two_column_key"),
+]
 
+
+def _case_table(case: str) -> pa.Table:
     rng = np.random.default_rng(7)
     if case == "empty":
         n, kv, jv = 0, np.empty(0, np.int64), np.empty(0, np.int64)
@@ -61,13 +74,31 @@ def test_map_partitions_by_key_calls_hold_whole_nonempty_groups(
     else:
         n = 400
         kv, jv = rng.integers(0, 5, n), rng.integers(0, 6, n)
-    table = pa.table(
+    return pa.table(
         {
             "k": pa.array(kv, pa.int64()),
             "j": pa.array(jv, pa.int64()),
             "v": pa.array(np.arange(n), pa.int64()),
         }
     )
+
+
+@pytest.mark.parametrize(
+    "case,key,num_partitions,plan",
+    [
+        pytest.param(case, key, parts, plan, id=_plan_ids(plan, cid))
+        for plan in PLANS
+        for case, key, parts, cid in _CASES
+    ],
+)
+def test_map_partitions_by_key_calls_hold_whole_nonempty_groups(
+    ray_session, monkeypatch, case, key, num_partitions, plan
+):
+    import ray.data
+
+    _use_plan(monkeypatch, plan)
+    table = _case_table(case)
+    n = table.num_rows
     # several input blocks, so every key crosses the exchange
     ds = ray.data.from_arrow(table).repartition(4)
     got = _calls(ds, key, num_partitions)
@@ -85,14 +116,55 @@ def test_map_partitions_by_key_calls_hold_whole_nonempty_groups(
     )
     per_call = got.groupby("call")["key_rows"].sum()
     assert (per_call == got.groupby("call")["call_rows"].first()).all()
+    if plan == "local":
+        assert got["call"].nunique() == 1, "the local plan split its input"
+        assert got["call_rows"].iloc[0] == n
+    else:
+        assert got["call"].nunique() > 1, "the forced plan ran one group"
 
 
-@pytest.mark.parametrize("key_type", ["int", "string"])
-def test_keyed_scan_sorts_each_group_and_marks_key_starts(ray_session, key_type):
+@pytest.mark.parametrize(
+    "case,key,num_partitions",
+    [pytest.param(case, key, parts, id=cid) for case, key, parts, cid in _CASES[1:]],
+)
+def test_local_and_forced_plans_give_the_same_rows(
+    ray_session, monkeypatch, case, key, num_partitions
+):
+    import ray.data
+
+    from multimedia_indexing_ray.stages.partition import map_partitions_by_key
+
+    keys = [key] if isinstance(key, str) else key
+
+    def per_key(t: pa.Table) -> pa.Table:
+        g = pa.TableGroupBy(t, keys).aggregate([("v", "sum"), ("v", "count")])
+        return g.sort_by([(k, "ascending") for k in keys])
+
+    ds = ray.data.from_arrow(_case_table(case)).repartition(4)
+    out = {}
+    for plan in PLANS:
+        _use_plan(monkeypatch, plan)
+        got = map_partitions_by_key(ds, key, per_key, num_partitions).to_pandas()
+        out[plan] = got.sort_values(list(got.columns)).reset_index(drop=True)
+    pd.testing.assert_frame_equal(out["local"], out["forced"])
+
+
+@pytest.mark.parametrize(
+    "key_type,plan",
+    [
+        pytest.param(kt, plan, id=_plan_ids(plan, kt))
+        for plan in PLANS
+        for kt in ("int", "string")
+    ],
+)
+def test_keyed_scan_sorts_each_group_and_marks_key_starts(
+    ray_session, monkeypatch, key_type, plan
+):
     import ray.data
 
     from multimedia_indexing_ray.stages.keyed import keyed_scan
 
+    _use_plan(monkeypatch, plan)
     rng = np.random.default_rng(3)
     n = 500
     k = rng.integers(0, 23, n)
@@ -117,7 +189,10 @@ def test_keyed_scan_sorts_each_group_and_marks_key_starts(ray_session, key_type)
     ds = ray.data.from_arrow(table).repartition(3)
     got = keyed_scan(ds, "k", ["ts", "id"], body, num_partitions=4).to_pandas()
     assert len(got) == n
-    assert got["call"].nunique() > 1
+    if plan == "local":
+        assert got["call"].nunique() == 1, "the local plan split its input"
+    else:
+        assert got["call"].nunique() > 1, "the forced plan ran one group"
     for _, g in got.groupby("call"):
         g = g.sort_values("pos")
         ref = g.sort_values(["k", "ts", "id"], kind="mergesort")
@@ -223,6 +298,21 @@ def test_gather_never_calls_finish_on_empty(ray_session, shape):
     else:
         partial = lambda b: b.slice(0, 0)  # noqa: E731 — non-empty batch, 0-row partial
     assert gather(ds, record_call, partial).count() == 0
+
+
+@pytest.mark.parametrize("shape", ["filtered_input", "non_empty"])
+def test_gather_seed_joins_the_partials(ray_session, shape):
+    """A `seed` partial makes `finish` run once even on an empty input,
+    and on a non-empty one it is one more partial."""
+    from multimedia_indexing_ray.stages.partition import gather
+
+    table, ds = _gather_input()
+    group_sum, _ = _gather_kernels()
+    if shape == "filtered_input":
+        ds, table = ds.filter(expr="v > 1000"), table.slice(0, 0)
+    seed = pa.table({"k": pa.array([0, 99], pa.int64()), "v": pa.array([0, 0], pa.int64())})
+    (got,) = _arrow_blocks(gather(ds, group_sum, group_sum, seed=seed))
+    assert got.equals(group_sum(pa.concat_tables([table, seed])))
 
 
 def test_user_scans_go_through_keyed_scan():
