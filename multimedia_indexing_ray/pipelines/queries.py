@@ -3522,7 +3522,8 @@ def q_approx_distinct(sf_dir: str):
             }
         )
 
-    return gather(ev, _final, _partial, seed=zero)
+    partials = ev.map_batches(_partial, batch_format="pyarrow")
+    return gather(partials.union(ray.data.from_arrow(zero)), _final)
 
 
 @register(
@@ -6606,7 +6607,8 @@ def q_profile_events(sf_dir: str):
         + [pa.nulls(5, f.type) for f in _P_SCHEMA][3:],
         schema=_P_SCHEMA,
     )
-    return gather(ev, _final, _partial, seed=zero)
+    partials = ev.map_batches(_partial, batch_format="pyarrow")
+    return gather(partials.union(ray.data.from_arrow(zero)), _final)
 
 
 def _curation_v2_sql() -> str:
@@ -10244,7 +10246,7 @@ def q_auc_value_purchase(sf_dir: str):
         cents = g["cents"].to_numpy()
         np_ = g["np"].to_numpy()
         nt = g["nt"].to_numpy()
-        if not nt.any():  # the seed alone: SQL sums over no rows are NULL
+        if not nt.any():  # the zero row alone: SQL sums over no rows are NULL
             return pa.table({c: pa.nulls(1, ty) for c, ty in _OUT})
         order = np.argsort(cents, kind="stable")
         np_, nt = np_[order], nt[order]
@@ -10265,8 +10267,10 @@ def q_auc_value_purchase(sf_dir: str):
             }
         )
 
-    seed = pa.table({"cents": [0], "np": [0], "nt": [0]}, schema=_P_SCHEMA)
-    return gather(ev, _finish, _partial, seed=seed)
+    # one zero histogram row: an empty input's partial
+    zero = pa.table({"cents": [0], "np": [0], "nt": [0]}, schema=_P_SCHEMA)
+    partials = ev.map_batches(_partial, batch_format="pyarrow")
+    return gather(partials.union(ray.data.from_arrow(zero)), _finish)
 
 
 @register(
@@ -11961,23 +11965,48 @@ def _bpe_best(keys: np.ndarray, n: np.ndarray) -> "tuple[str, int]":
 
 
 def _bpe_words_batch(batch: pa.Table) -> pa.Table:
-    """Every word occurrence of the batch as a ``(word, n=1)`` row; a
+    """The batch's distinct words with their counts, ``(word, n)``; a
     word is a maximal run of codepoints outside `_BPE_WS`, the oracle's
     ``\\S+``."""
     words = pc.list_flatten(pc.split_pattern_regex(batch["text"], _BPE_WS_RE))
     words = words.filter(pc.greater(pc.binary_length(words), 0))
-    return pa.table({"word": words, "n": pa.array(np.ones(len(words), np.int64))})
+    ones = pa.array(np.ones(len(words), np.int64))
+    return _pa_group_sum(pa.table({"word": words, "n": ones}), ["word"], ["n"])
 
 
-def _bpe_pair_counts_batch(texts: pa.ChunkedArray, merges) -> pa.Table:
-    """Apply the merge list (pair string -> marker char) to the batch's
-    text, then count adjacent non-whitespace char pairs inside each
-    document over the batch's one codepoint array (`grams.pair_counts`);
-    the pair key packs both code points into an int64."""
+def _bpe_pairs(words: pa.Table, merges) -> pa.Table:
+    """Apply the merge list (pair string -> marker char) to a ``(word,
+    n)`` table's words, then count adjacent char pairs inside each word
+    over one codepoint array (`grams.pair_counts`), each occurrence
+    weighted by its word's n; the pair key packs both code points into
+    an int64."""
+    w = words["word"]
     for pair_str, marker in merges:
-        texts = pc.replace_substring(texts, pattern=pair_str, replacement=marker)
-    keys, n = grams.pair_counts(*grams.decode(texts), _BPE_WS)
+        w = pc.replace_substring(w, pattern=pair_str, replacement=marker)
+    keys, n = grams.pair_counts(*grams.decode(w), _BPE_WS, words["n"].to_numpy())
     return pa.table({"pk": pa.array(keys, pa.int64()), "n": pa.array(n, pa.int64())})
+
+
+def _bpe_train(pair_counts: "Callable[[list], Any]") -> pa.Table:
+    """The merge rounds: `pair_counts(merges)` gives the ``(pk, n)``
+    counts under the merges so far; each round adopts the winner and
+    appends its marker, until `_BPE_ROUNDS` or no pair is left."""
+    merges: "list[tuple[str, str]]" = []
+    rows = []
+    for r in range(1, _BPE_ROUNDS + 1):
+        counts = pair_counts(list(merges))
+        if len(counts) == 0:
+            break
+        pair, count = _bpe_best(counts["pk"].to_numpy(), counts["n"].to_numpy())
+        rows.append((r, pair, count))
+        merges.append((pair, chr(_BPE_MARKER0 + r - 1)))
+    return pa.table(
+        {
+            "round": pa.array([r for r, _, _ in rows], pa.int64()),
+            "pair": pa.array([p for _, p, _ in rows], pa.string()),
+            "n": pa.array([c for _, _, c in rows], pa.int64()),
+        }
+    )
 
 
 @register("bpe_train_merges", _bpe_sql())
@@ -11995,58 +12024,29 @@ def q_bpe_train_merges(sf_dir: str):
     replace_substring's greedy non-overlap scan (verified: 'aaa' with
     'aa' -> 'Xa' on both).
 
-    Plan: ONE corpus pass counts each distinct word (a `gather`
-    grouped sum of per-batch ``(word, n)`` partials); the 8 rounds then
-    run in the driver over the distinct words, pair counts weighted by
-    each word's n.  A pair never holds whitespace, so the greedy
-    replace on each word equals the replace on the whole document.
-    Above `VOCAB_ROWS` distinct words each round is one stateless
-    corpus pass instead (apply the <= 8-entry merge list, count pairs
-    over the batch's codepoint array) into a `gather` grouped sum of
-    (pair, n) partials; the driver only picks the per-round argmax."""
+    Plan: ONE corpus pass builds the distinct-word table ``(word, n)``
+    (per-batch word counts summed by `map_partitions_by_key` on the
+    word).  A pair never holds whitespace, so the greedy replace on
+    each word equals the replace on the whole document, and every round
+    runs over the words, pair counts weighted by n.  Up to `VOCAB_ROWS`
+    words the 8 rounds run in one `gather` finish over the whole table;
+    above it each round is one pass over the word table into a `gather`
+    grouped sum of (pair, n) partials."""
     docs = _rp(sf_dir, "documents", ["text"])
-    vocab = _tiny_group_sum(
-        docs.map_batches(_bpe_words_batch, batch_format="pyarrow"), ["word"], ["n"]
+    vocab = map_partitions_by_key(
+        docs.map_batches(_bpe_words_batch, batch_format="pyarrow"),
+        "word",
+        lambda t: _pa_group_sum(t, ["word"], ["n"]),
     ).materialize()
-
     n_words = vocab.count()
-    out_rows = []
     if 0 < n_words and fits(n_words, VOCAB_ROWS):
-        table = pa.concat_tables(ray.get(vocab.to_arrow_refs()))
-        words, weights = table["word"], table["n"].to_numpy()
-        for r in range(1, _BPE_ROUNDS + 1):
-            keys, n = grams.pair_counts(*grams.decode(words), _BPE_WS, weights)
-            if len(keys) == 0:
-                break
-            pair, count = _bpe_best(keys, n)
-            out_rows.append((r, pair, count))
-            words = pc.replace_substring(
-                words, pattern=pair, replacement=chr(_BPE_MARKER0 + r - 1)
-            )
-    else:
-        merges: "list[tuple[str, str]]" = []
-        for r in range(1, _BPE_ROUNDS + 1):
-            mlist = list(merges)
+        return gather(vocab, lambda words: _bpe_train(lambda m: _bpe_pairs(words, m)))
 
-            def _partial(batch: pa.Table, _m=mlist) -> pa.Table:
-                return _bpe_pair_counts_batch(batch["text"], _m)
+    def _round_counts(merges):
+        partials = vocab.map_batches(lambda b: _bpe_pairs(b, merges), batch_format="pyarrow")
+        return _tiny_group_sum(partials, ["pk"], ["n"]).to_pandas()
 
-            counts = _tiny_group_sum(
-                docs.map_batches(_partial, batch_format="pyarrow"), ["pk"], ["n"]
-            ).to_pandas()
-            if len(counts) == 0:
-                break
-            pair, count = _bpe_best(counts["pk"].to_numpy(), counts["n"].to_numpy())
-            out_rows.append((r, pair, count))
-            merges.append((pair, chr(_BPE_MARKER0 + r - 1)))
-
-    return pa.table(
-        {
-            "round": pa.array([r for r, _, _ in out_rows], pa.int64()),
-            "pair": pa.array([p for _, p, _ in out_rows], pa.string()),
-            "n": pa.array([c for _, _, c in out_rows], pa.int64()),
-        }
-    )
+    return _bpe_train(_round_counts)
 
 
 @register(

@@ -14,7 +14,7 @@ transcript engine's analogs are temporal:
   (inclusive; inner semantics), expanded vectorized.
 
 Physical plan (shared): both sides tagged, unioned and handed to one
-`map_partitions_by_key` stage on the key (one driver call under
+`map_partitions_by_key` stage on the key (one task under
 `LOCAL_BYTES`, else ONE shuffle with the feature engine's partitioner);
 each group merged with global ``np.searchsorted`` over a
 key-segment-separated monotone time axis — no per-key Python loops.

@@ -9,7 +9,7 @@ Here:
   zero-copy inside every ``map_batches`` task (no shuffle — the
   DistributedCache-artifact pattern, `visual/mapreduce/VisualJob.java:56-62`).
 - ``hash_join``: both sides tagged and unioned into one
-  `map_partitions_by_key` stage on the key hash (one driver call under
+  `map_partitions_by_key` stage on the key hash (one task under
   `LOCAL_BYTES`, else B hash buckets), each group joined with pyarrow's
   vectorized hash join.  Skew note: bucket count is the salting knob —
   hot keys should be pre-split upstream (see stages/hotkeys.py).

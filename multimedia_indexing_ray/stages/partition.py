@@ -16,7 +16,7 @@ therefore checkpoint manifests) are reproducible.
 reaches its kernel as one Arrow table.  The transcript engine
 (`stages/features.py`) always takes it.  `map_partitions_by_key` is the
 generic keyed stage: it materializes its input and, when the input fits
-`LOCAL_BYTES`, calls the kernel once on the whole table in the driver,
+`LOCAL_BYTES`, calls the kernel once on the whole table in one task,
 since a keyed exchange's fixed cost dwarfs the work at that size; above
 the cap it takes `exchange_by_key`.  `gather` is the other reduction
 shape: aggregate-sized per-batch partials coalesced into one block for
@@ -58,7 +58,11 @@ BROADCAST_IDS = 5_000_000  # candidate ids broadcast for exact verify
 DRIVER_EDGES = 2_000_000  # graph kernels' in-memory loop
 HOT_DETAIL_ROWS = 5_000_000  # hot-key detail pass on the driver
 FUSED_PRE_ROWS = 100_000_000  # materialized prefeature view
-LOCAL_BYTES = 64 * 1024**2  # keyed stage input run in one driver call
+# keyed stage input run in one task: on a 1-CPU Ray session the one call
+# beat the sort exchange 1.3-6x at every input measured, 1.5-122 MB
+# (sf0.1 keyed queries and 4-32x copies of its events); the cap sits
+# inside that range and also bounds the one worker's input
+LOCAL_BYTES = 64 * 1024**2
 
 
 def fits(n: int, cap: int) -> bool:
@@ -118,24 +122,28 @@ def map_partitions_by_key(
     """Apply `fn` to groups of whole keys (`key` is a column name or a
     list of them), each group one Arrow table.
 
-    The input is materialized first.  When it is non-empty and its bytes
-    fit `LOCAL_BYTES`, `fn` runs ONCE, in the driver, on the whole table
-    (every key in one call); otherwise the groups are the partition
+    The input is materialized first.  When it has rows and its bytes fit
+    `LOCAL_BYTES`, `fn` runs ONCE on the whole table (every key in one
+    call) in one remote task, so neither the input nor `fn`'s output
+    passes through the driver; otherwise the groups are the partition
     groups of `exchange_by_key`.  Either way `fn` never sees an empty
     table, is not called for an empty input, and must return an Arrow
     table (schema consistent across calls)."""
     mat = ds.materialize()
-    size = mat.size_bytes()
-    if 0 < size and fits(size, LOCAL_BYTES):
-        blocks = [
-            b.replace_schema_metadata(None)
-            for b in ray.get(mat.to_arrow_refs())
-            if b.num_rows
-        ]
-        if blocks:
-            whole = pa.concat_tables(blocks, promote_options="default")
-            return ray.data.from_arrow(fn(whole.combine_chunks()))
+    if mat.count() and fits(mat.size_bytes(), LOCAL_BYTES):
+        return ray.data.from_arrow_refs([_call_whole.remote(fn, *mat.to_arrow_refs())])
     return exchange_by_key(mat, key, fn, num_partitions)
+
+
+@ray.remote
+def _call_whole(fn: Callable[[pa.Table], pa.Table], *blocks: pa.Table) -> pa.Table:
+    """The local plan's one call: `fn` over every non-empty block,
+    concatenated (schema metadata stripped, as the exchange does)."""
+    whole = pa.concat_tables(
+        [b.replace_schema_metadata(None) for b in blocks if b.num_rows],
+        promote_options="default",
+    )
+    return fn(whole.combine_chunks())
 
 
 def exchange_by_key(
@@ -171,7 +179,6 @@ def gather(
     ds: "ray.data.Dataset",
     finish: Callable[[pa.Table], pa.Table],
     partial: "Callable[[pa.Table], pa.Table] | None" = None,
-    seed: "pa.Table | None" = None,
 ) -> "ray.data.Dataset":
     """Global finish over small partials: run `partial` on each batch
     (when given), coalesce every partial into one block and call
@@ -181,12 +188,7 @@ def gather(
 
     `finish` is never called on an empty table: an input with no rows,
     or partials that all return 0 rows, yield an empty Dataset without
-    a `finish` call.  A non-empty `seed` (a partial of the aggregate's
-    identity, in the partials' schema) joins the partials, so `finish`
-    runs once even on an empty input: the empty-input row of a global
-    aggregate with no GROUP BY."""
+    a `finish` call."""
     if partial is not None:
         ds = ds.map_batches(partial, batch_format="pyarrow")
-    if seed is not None:
-        ds = ds.union(ray.data.from_arrow(seed))
     return ds.repartition(1).map_batches(finish, batch_format="pyarrow", batch_size=None)

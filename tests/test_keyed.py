@@ -10,6 +10,7 @@ the same rows.  `keyed_scan` promises its body a group sorted by
 empty table.  The window helpers are checked against per-row brute
 force."""
 
+import os
 import pathlib
 import re
 import uuid
@@ -37,8 +38,9 @@ def _use_plan(monkeypatch, plan: str) -> None:
 
 def _calls(ds, key, num_partitions):
     """Run `map_partitions_by_key` with a recording fn: one output row
-    per (call, key) with the call's row count and the key's row count in
-    that call; an empty call would yield one row with ``call_rows == 0``."""
+    per (call, key) with the call's row count, the key's row count in
+    that call and the calling process; an empty call would yield one row
+    with ``call_rows == 0``."""
     from multimedia_indexing_ray.stages.partition import map_partitions_by_key
 
     keys = [key] if isinstance(key, str) else list(key)
@@ -51,6 +53,7 @@ def _calls(ds, key, num_partitions):
             per_key = pd.DataFrame({k: [-1] for k in keys} | {"key_rows": [0]})
         per_key["call"] = call
         per_key["call_rows"] = t.num_rows
+        per_key["pid"] = os.getpid()
         return pa.Table.from_pandas(per_key, preserve_index=False)
 
     out = map_partitions_by_key(ds, key, fn, num_partitions)
@@ -119,6 +122,7 @@ def test_map_partitions_by_key_calls_hold_whole_nonempty_groups(
     if plan == "local":
         assert got["call"].nunique() == 1, "the local plan split its input"
         assert got["call_rows"].iloc[0] == n
+        assert (got["pid"] != os.getpid()).all(), "the local plan ran fn in the driver"
     else:
         assert got["call"].nunique() > 1, "the forced plan ran one group"
 
@@ -301,18 +305,23 @@ def test_gather_never_calls_finish_on_empty(ray_session, shape):
 
 
 @pytest.mark.parametrize("shape", ["filtered_input", "non_empty"])
-def test_gather_seed_joins_the_partials(ray_session, shape):
-    """A `seed` partial makes `finish` run once even on an empty input,
-    and on a non-empty one it is one more partial."""
+def test_gather_finishes_once_over_an_identity_partial(ray_session, shape):
+    """A global aggregate unions its identity partial into the partials
+    (`approx_distinct_users`, `profile_events`, `auc_value_purchase`),
+    so `finish` runs once even on an empty input, and on a non-empty
+    one the identity is one more partial."""
+    import ray.data
+
     from multimedia_indexing_ray.stages.partition import gather
 
     table, ds = _gather_input()
     group_sum, _ = _gather_kernels()
     if shape == "filtered_input":
         ds, table = ds.filter(expr="v > 1000"), table.slice(0, 0)
-    seed = pa.table({"k": pa.array([0, 99], pa.int64()), "v": pa.array([0, 0], pa.int64())})
-    (got,) = _arrow_blocks(gather(ds, group_sum, group_sum, seed=seed))
-    assert got.equals(group_sum(pa.concat_tables([table, seed])))
+    zero = pa.table({"k": pa.array([0, 99], pa.int64()), "v": pa.array([0, 0], pa.int64())})
+    partials = ds.map_batches(group_sum, batch_format="pyarrow")
+    (got,) = _arrow_blocks(gather(partials.union(ray.data.from_arrow(zero)), group_sum))
+    assert got.equals(group_sum(pa.concat_tables([table, zero])))
 
 
 def test_user_scans_go_through_keyed_scan():
