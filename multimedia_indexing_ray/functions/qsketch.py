@@ -16,8 +16,8 @@ This is the at-scale replacement for the exact CSR quantile kernels
 needs every value of a group co-located, while the summary ships at most
 ``k`` rows per (group, block) and never moves raw values.
 
-Reference analog: the sketch-not-sort mindset of
-`stages/hotkeys.py` (Misra–Gries) applied to order statistics.
+Reference analog: the sketch-not-sort mindset of the heavy-hitter
+sketches (Misra–Gries) applied to order statistics.
 """
 
 from __future__ import annotations

@@ -11120,8 +11120,8 @@ def q_key_skew_report(sf_dir: str):
     counts (keys per power-of-two bucket, rows they hold, the largest
     key) that tells an operator author whether a planned groupby key
     is safe or needs the hot-key split plan (`stages/hotkeys.py` makes
-    that decision online with a Misra-Gries sketch; this query is the
-    offline audit report of the same distribution).
+    that decision from exact per-key counts; this query is the offline
+    audit report of the same distribution).
 
     Exactness: bucket = floor(log2(cnt)) computed as the binary
     exponent via np.frexp (exact for cnt < 2^53 — no float log2

@@ -181,7 +181,6 @@ def compute_features(
     hot_threshold: int = 20_000,
     target_chunk_rows: int = 10_000,
     split_plan=None,
-    prefeaturized: bool = False,
 ) -> "ray.data.Dataset":
     """Full transcript feature pipeline over a transcript Dataset.
 
@@ -191,11 +190,8 @@ def compute_features(
     bit-identical to the unsplit pipeline (tested).  ``split_plan``: a
     precomputed SplitPlan for this input (the plan is input-keyed state —
     build once, reuse across the flagship and serving runs instead of
-    re-scanning the slim columns per call).  ``prefeaturized=True``: the
-    input is already the prefeature view (e.g. the materialized output
-    of ``hotkeys.fused_prefeature_and_plan``) — skip the prefeaturize
-    map."""
-    pre = ds if prefeaturized else ds.map_batches(
+    re-scanning the slim columns per call)."""
+    pre = ds.map_batches(
         lambda b: prefeaturize(b, include_text), batch_format="pyarrow"
     )
     kernel = WindowKernelFn(specs, include_text, pack_vector)

@@ -56,8 +56,6 @@ DUPSPAN_DOCS = 20_000  # span-gram tables (64 B per character)
 PAIR_COALESCE_ROWS = 2_000_000  # candidate-pair dedup
 BROADCAST_IDS = 5_000_000  # candidate ids broadcast for exact verify
 DRIVER_EDGES = 2_000_000  # graph kernels' in-memory loop
-HOT_DETAIL_ROWS = 5_000_000  # hot-key detail pass on the driver
-FUSED_PRE_ROWS = 100_000_000  # materialized prefeature view
 # keyed stage input run in one task: on a 1-CPU Ray session the one call
 # beat the sort exchange 1.3-6x at every input measured, 1.5-122 MB
 # (sf0.1 keyed queries and 4-32x copies of its events); the cap sits

@@ -331,7 +331,11 @@ def test_user_scans_go_through_keyed_scan():
     one-block coalesce lives only in `stages/partition.py:gather`; a
     copy of the scan skeleton (an Arrow sort or an `np.lexsort((eid, ts,
     uid))`-style per-user sort in `pipelines/`) or a `.repartition(1)`
-    anywhere else in the package fails this test."""
+    anywhere else in the package fails this test.  The split planner
+    (`stages/hotkeys.py`) runs Ray only through `map_partitions_by_key`
+    and `assign_chunks`: a `.materialize(`, `.to_pandas(`, `ray.get(` or
+    `@ray.remote` there (a driver-side or actor planning fork) fails
+    it too."""
     import multimedia_indexing_ray
 
     root = pathlib.Path(multimedia_indexing_ray.__file__).parent
@@ -345,6 +349,7 @@ def test_user_scans_go_through_keyed_scan():
     coalesce = re.compile(r"\.repartition\(\s*1\s*\)")
     window_call = re.compile(r"(?<!def )\bsliding_lo\(")
     wrapper_ref = re.compile(r"kd\.keyed_|_sort_table")
+    planner_fork = re.compile(r"\.materialize\(|\.to_pandas\(|ray\.get\(|@ray\.remote")
     hits = []
     for p in sorted(root.rglob("*.py")):
         rel = p.relative_to(root).as_posix()
@@ -358,4 +363,6 @@ def test_user_scans_go_through_keyed_scan():
         if rel not in ("stages/keyed.py", "functions/window_kernel.py"):
             hits += [f"{rel}: sliding_lo" for _ in window_call.finditer(text)]
         hits += [f"{rel}: {m.group(0)}" for m in wrapper_ref.finditer(text)]
+        if rel == "stages/hotkeys.py":
+            hits += [f"{rel}: {m.group(0)}" for m in planner_fork.finditer(text)]
     assert hits == []
