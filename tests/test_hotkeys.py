@@ -112,8 +112,8 @@ def test_build_split_plan_exact_hot_keys(ray_session, monkeypatch, forced):
     """Exact per-key counts on a block-scattered input pick exactly the
     keys with more than hot_threshold rows — two hot keys among 200
     cold ones, a key at exactly the threshold (cold) and one row over it
-    (hot) — ignore null keys, and give an empty plan on an all-cold
-    input; on the local plan and the forced keyed-exchange plan alike."""
+    (hot) — and ignore null keys; on the local plan and the forced
+    keyed-exchange plan alike."""
     import ray.data as rd
 
     from multimedia_indexing_ray.stages.hotkeys import build_split_plan
@@ -129,8 +129,22 @@ def test_build_split_plan_exact_hot_keys(ray_session, monkeypatch, forced):
     # one boundary per 400-turn safe gap once a chunk reaches 500 rows
     assert [len(plan.convs[k].boundaries_us) for k in ("hot-a", "hot-b")] == [6, 3]
 
-    all_cold = rd.from_arrow(_scattered_table({None: 3000, **cold})).repartition(8)
-    plan = build_split_plan(all_cold, DEFAULT_SPECS, hot_threshold=2000)
+
+@pytest.mark.parametrize("forced", ["0", "1"], ids=["local", "forced"])
+def test_build_split_plan_all_cold_input_is_empty(ray_session, monkeypatch, forced):
+    """An input with no hot key gives an empty plan, also when a whole
+    block holds only null keys (its per-batch counts are empty and are
+    combined with the other blocks' counts)."""
+    import ray.data as rd
+
+    from multimedia_indexing_ray.stages.hotkeys import build_split_plan
+
+    monkeypatch.setenv("GRAFT_FORCE_SCALE_PLAN", forced)
+    nulls = _scattered_table({None: 3000})
+    cold = _scattered_table({f"k{i}": 100 for i in range(200)})
+    # unshuffled concat: the first of the 8 blocks holds null keys only
+    ds = rd.from_arrow(pa.concat_tables([nulls, cold])).repartition(8)
+    plan = build_split_plan(ds, DEFAULT_SPECS, hot_threshold=2000)
     assert plan.empty and plan.unsplittable == []
 
 
