@@ -218,8 +218,8 @@ _PLAN_SEC = None  # the planner's full wall time (reported separately)
 def bench_split_plan():
     """Split plan for the bench table, built ONCE per process with
     `hotkeys.build_split_plan`; `split_plan_build_sec` is the planner's
-    full wall time (both keyed stages, both projection-pruned input
-    scans).  The first flagship iteration builds it inside its timed
+    full wall time (the row count, the candidate scan and the keyed
+    stage).  The first flagship iteration builds it inside its timed
     window; serving-only invocations build it here untimed."""
     global _PLAN, _PLAN_SEC
     if _PLAN is None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import glob
 import os
+import weakref
 from typing import Optional, Sequence, Union
 
 import pyarrow as pa
@@ -20,6 +21,11 @@ import pyarrow.compute as pc
 import ray.data
 
 TRANSCRIPT_COLUMNS = ("conv_id", "turn_idx", "role", "text", "tool", "ts")
+
+# each untransformed `read_transcripts` dataset -> its read arguments, so
+# `prune_columns` can read its files again with fewer columns (a transformed
+# dataset is a new object and is not a key)
+_READS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _paths(source: Union[str, Sequence[str]]) -> Union[str, list]:
@@ -42,11 +48,26 @@ def read_transcripts(
     key shuffle exchanges O(blocks x partitions) objects — let it default
     and a small-block read explodes the shuffle into hundreds of
     thousands of tiny objects (measured 3-8x slowdown)."""
-    return ray.data.read_parquet(
+    ds = ray.data.read_parquet(
         _paths(source),
         columns=list(columns) if columns else None,
         override_num_blocks=override_num_blocks,
     )
+    _READS[ds] = (source, columns, override_num_blocks)
+    return ds
+
+
+def prune_columns(ds: "ray.data.Dataset", columns: Sequence[str]) -> "ray.data.Dataset":
+    """``ds.select_columns(columns)``; an untransformed `read_transcripts`
+    dataset is read again with only `columns` instead.  Ray 2.49 does not
+    push a projection into the parquet read, so `select_columns` alone
+    decodes every column first: a ``conv_id`` scan of the sf0.1 bench
+    transcripts (10.46M turns, 128 blocks, 1 CPU) took 7.7-9.0 s that
+    way and 1.3 s read with ``columns=``."""
+    args = _READS.get(ds)
+    if args is not None and (args[1] is None or set(columns) <= set(args[1])):
+        return read_transcripts(args[0], columns, args[2])
+    return ds.select_columns(list(columns))
 
 
 def validate_batch(batch: pa.Table) -> pa.Table:

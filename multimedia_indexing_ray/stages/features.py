@@ -199,8 +199,9 @@ def compute_features(
     if split_hot or split_plan is not None:
         from multimedia_indexing_ray.stages.hotkeys import assign_chunks, build_split_plan
 
-        # plan from the RAW dataset: select_columns pushes the projection
-        # into the parquet read, so the two plan passes never decode text
+        # plan from the RAW dataset: the planner reads an untransformed
+        # transcript read again with only its columns (`prune_columns`),
+        # so its two scans never decode text
         plan = split_plan if split_plan is not None else build_split_plan(
             ds, specs, hot_threshold=hot_threshold, target_chunk_rows=target_chunk_rows
         )

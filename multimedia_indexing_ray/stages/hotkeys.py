@@ -24,13 +24,17 @@ Scheme (zero-semantic-drift, tested against the unsplit pipeline):
   replication; it stays whole (logged in the plan) — bounded-state
   caveat documented in SURVEY.md §7.3.
 
-`build_split_plan` is two `map_partitions_by_key` stages over
-projection-pruned scans: the exact per-key counts, then (through
-`keyed_scan`, sorted by ``(key, ts, turn_idx)``) `_conv_plan` over the hot
-conversations' rows only.  No sketch, no candidate superset.  Both take the
-keyed size rule (one task under `LOCAL_BYTES`, the keyed exchange above
-it), and only the hot keys and their boundary arrays reach the driver;
-the plan is broadcast to the chunk-assignment stage via the task closure.
+`build_split_plan` counts exactly without a shuffle of every key: one
+scan of the key column keeps, per block, only the keys over the block's
+share of ``hot_threshold`` (a superset of the hot keys, since a hot key
+is over its share in at least one block); then one `map_partitions_by_key`
+stage (through `keyed_scan`, sorted by ``(key, ts, turn_idx)``) takes
+every row of those candidates, counts each key from its run and runs
+`_conv_plan` for the keys over ``hot_threshold``.  No sketch.  The keyed
+stage takes the size rule (one task under `LOCAL_BYTES`, the keyed
+exchange above it), and only candidate keys and the plans' boundary
+arrays reach the driver; the plan is broadcast to the chunk-assignment
+stage via the task closure.
 """
 
 from __future__ import annotations
@@ -45,9 +49,9 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from multimedia_indexing_ray.sources.transcripts import prune_columns
 from multimedia_indexing_ray.specs import FeatureSpecs
 from multimedia_indexing_ray.stages.keyed import keyed_scan
-from multimedia_indexing_ray.stages.partition import map_partitions_by_key
 
 CHUNK_COL = "__chunk"
 EMIT_COL = "__emit"
@@ -124,22 +128,31 @@ def build_split_plan(
     on: str = "ts",
 ) -> SplitPlan:
     """Split plan for every conversation with more than ``hot_threshold``
-    rows (null keys never count).  Stage 1 sums per-batch ``(key, n)``
-    counts per key and keeps the hot keys; stage 2 plans each hot
-    conversation from its own rows, whole in one kernel call."""
+    rows (null keys never count).
 
-    def _counts(batch: pa.Table) -> pa.Table:
-        g = batch.drop_null().group_by(key).aggregate([([], "count_all")])
-        return pa.table({key: g[key], "n": g["count_all"]})
-
-    def _hot(t: pa.Table) -> pa.Table:
-        g = t.group_by(key).aggregate([("n", "sum")])
-        return pa.table({key: g[key]}).filter(pc.greater(g["n_sum"], hot_threshold))
-
-    counts = ds.select_columns([key]).map_batches(_counts, batch_format="pyarrow")
-    hot = sorted(r[key] for r in map_partitions_by_key(counts, key, _hot).take_all())
+    Candidates: a key with more than ``hot_threshold`` of the input's
+    ``n_rows`` rows has, in at least one block, more than ``hot_threshold
+    * block_rows / n_rows`` rows (those shares add up to
+    ``hot_threshold``), so each block keeps only its keys over that share
+    and the union is a superset of the hot keys.  The keyed stage then
+    sees every row of each candidate, counts it exactly and plans the
+    ones over ``hot_threshold``.  ``n_rows`` comes from ``ds.count()``:
+    file metadata for a parquet read, an extra pass for a transformed
+    input."""
     plan = SplitPlan()
-    if not hot:
+    keys = prune_columns(ds, [key])
+    n_rows = keys.count()
+    if not n_rows:
+        return plan
+
+    def _candidates(block: pa.Table) -> pa.Table:
+        g = block.drop_null().group_by(key).aggregate([([], "count_all")])
+        share = hot_threshold * block.num_rows // n_rows  # floor: superset kept
+        return pa.table({key: g[key]}).filter(pc.greater(g["count_all"], share))
+
+    per_block = keys.map_batches(_candidates, batch_format="pyarrow", batch_size=None)
+    cands = sorted({r[key] for r in per_block.take_all()})
+    if not cands:
         return plan
 
     safe_gap_us = int(
@@ -152,16 +165,17 @@ def build_split_plan(
     # k-th previous row's OWN predecessor to compute its gap correctly
     k_lag = specs.max_lag_depth() + 1
     k_lead = max([l.k for l in specs.leads], default=0)
-    hot_arr = pa.array(hot)
+    cand_arr = pa.array(cands)
 
-    def _hot_rows(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.is_in(batch[key], value_set=hot_arr))
+    def _cand_rows(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.is_in(batch[key], value_set=cand_arr))
 
     def _plan_body(t: pa.Table, starts: np.ndarray) -> pa.Table:
         ts = t[on].cast(pa.int64()).to_numpy()
         ends = np.append(starts[1:], len(ts))
+        hot = np.flatnonzero(ends - starts > hot_threshold)  # exact counts
         blobs = []
-        for lo, hi in zip(starts, ends):
+        for lo, hi in zip(starts[hot], ends[hot]):
             res = _conv_plan(
                 ts[lo:hi], target_chunk_rows, safe_gap_us, k_lag, k_lead, specs
             )
@@ -180,10 +194,12 @@ def build_split_plan(
                     )
                 )
             )
-        return pa.table({key: t[key].take(starts), "plan": pa.array(blobs, pa.binary())})
+        return pa.table(
+            {key: t[key].take(starts[hot]), "plan": pa.array(blobs, pa.binary())}
+        )
 
-    rows = ds.select_columns([key, on, "turn_idx"]).map_batches(
-        _hot_rows, batch_format="pyarrow"
+    rows = prune_columns(ds, [key, on, "turn_idx"]).map_batches(
+        _cand_rows, batch_format="pyarrow"
     )
     for row in sorted(
         keyed_scan(rows, key, (on, "turn_idx"), _plan_body).take_all(),

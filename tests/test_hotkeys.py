@@ -111,7 +111,8 @@ def _scattered_table(counts, seed=3):
 def test_build_split_plan_exact_hot_keys(ray_session, monkeypatch, forced):
     """Exact per-key counts on a block-scattered input pick exactly the
     keys with more than hot_threshold rows — two hot keys among 200
-    cold ones, a key at exactly the threshold (cold) and one row over it
+    cold ones, a key at exactly the threshold (cold, though over its
+    share in some of the 8 blocks, so a candidate) and one row over it
     (hot) — and ignore null keys; on the local plan and the forced
     keyed-exchange plan alike."""
     import ray.data as rd
@@ -133,8 +134,8 @@ def test_build_split_plan_exact_hot_keys(ray_session, monkeypatch, forced):
 @pytest.mark.parametrize("forced", ["0", "1"], ids=["local", "forced"])
 def test_build_split_plan_all_cold_input_is_empty(ray_session, monkeypatch, forced):
     """An input with no hot key gives an empty plan, also when a whole
-    block holds only null keys (its per-batch counts are empty and are
-    combined with the other blocks' counts)."""
+    block holds only null keys (it keeps no candidate, and the other
+    blocks keep none either)."""
     import ray.data as rd
 
     from multimedia_indexing_ray.stages.hotkeys import build_split_plan
@@ -175,9 +176,9 @@ def test_unsplittable_conv_stays_whole(ray_session):
 
 
 def test_local_and_forced_plans_identical(ray_session, monkeypatch):
-    """The local plan (each keyed stage in one task) and the forced plan
-    (GRAFT_FORCE_SCALE_PLAN=1: both stages through the keyed exchange)
-    must give the IDENTICAL SplitPlan: same boundaries, context windows,
+    """The local plan (the keyed stage in one task) and the forced plan
+    (GRAFT_FORCE_SCALE_PLAN=1: the keyed stage through the keyed
+    exchange) must give the IDENTICAL SplitPlan: same boundaries, context windows,
     session offsets and unsplittable list."""
     import ray.data as rd
 

@@ -332,10 +332,10 @@ def test_user_scans_go_through_keyed_scan():
     copy of the scan skeleton (an Arrow sort or an `np.lexsort((eid, ts,
     uid))`-style per-user sort in `pipelines/`) or a `.repartition(1)`
     anywhere else in the package fails this test.  The split planner
-    (`stages/hotkeys.py`) runs Ray only through `map_partitions_by_key`
-    and `assign_chunks`: a `.materialize(`, `.to_pandas(`, `ray.get(` or
-    `@ray.remote` there (a driver-side or actor planning fork) fails
-    it too."""
+    (`stages/hotkeys.py`) runs Ray only through its candidate scan,
+    `keyed_scan` and `assign_chunks`: a `.materialize(`, `.to_pandas(`,
+    `ray.get(` or `@ray.remote` there (a driver-side or actor planning
+    fork) fails it too."""
     import multimedia_indexing_ray
 
     root = pathlib.Path(multimedia_indexing_ray.__file__).parent

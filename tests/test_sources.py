@@ -48,3 +48,27 @@ def test_validate_batch_drops_null_keys():
     )
     out = validate_batch(t)
     assert out.num_rows == 1 and out["conv_id"][0].as_py() == "a"
+
+
+def test_prune_columns_reads_only_the_wanted_columns(ray_session, tmp_path):
+    """An untransformed `read_transcripts` dataset is read again with only
+    the wanted columns, with no projection after a full-row read; a
+    transformed dataset, or a read without those columns, keeps
+    `select_columns`' behaviour."""
+    import pyarrow.parquet as pq
+    import pytest
+
+    from multimedia_indexing_ray.fixtures import generate_transcripts
+    from multimedia_indexing_ray.sources.transcripts import prune_columns, read_transcripts
+
+    pq.write_table(generate_transcripts("smoke"), tmp_path / "part-0.parquet")
+    ds = read_transcripts(str(tmp_path))
+    pruned = prune_columns(ds, ["conv_id", "ts"])
+    assert "Project" not in repr(pruned)
+    assert pruned.take_all() == ds.select_columns(["conv_id", "ts"]).take_all()
+    moved = prune_columns(ds.map_batches(lambda b: b, batch_format="pyarrow"), ["ts"])
+    assert "Project" in repr(moved)
+    assert moved.take_all() == pruned.select_columns(["ts"]).take_all()
+    narrow = read_transcripts(str(tmp_path), columns=["conv_id", "ts"])
+    with pytest.raises(Exception):
+        prune_columns(narrow, ["conv_id", "text"]).take_all()
