@@ -17,6 +17,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from multimedia_indexing_ray.functions import grams
+from multimedia_indexing_ray.functions.turns import n_tokens
 
 TOKEN_RE = r"\S+"
 # BPE-ish pre-tokenizer (GPT-2 style, minus the RE2-unsupported
@@ -40,11 +41,9 @@ LANG_MARKERS = {
 
 
 def token_count(text) -> np.ndarray:
-    """Whitespace token count — the `\\S+` RE2 kernel, the ONLY variant
-    bit-identical to the DuckDB oracle: utf8_split_whitespace also splits
-    on NBSP/em-space and ascii_split_whitespace also splits on vertical
-    tab, both diverging from RE2's \s = [\t\n\f\r ] (verified)."""
-    return pc.count_substring_regex(text, TOKEN_RE).to_numpy(zero_copy_only=False).astype(np.int64)
+    r"""Whitespace token count as int64: `turns.n_tokens`, the exact count
+    of RE2 `\S+` matches that the DuckDB oracle computes."""
+    return n_tokens(text).astype(np.int64)
 
 
 def bpe_token_count(text) -> np.ndarray:

@@ -27,6 +27,7 @@ import pyarrow.parquet as pq
 
 import ray.data
 
+from multimedia_indexing_ray.sources.transcripts import read_transcripts
 from multimedia_indexing_ray.stages.partition import (
     DEFAULT_NUM_PARTITIONS,
     PART_COL,
@@ -177,10 +178,7 @@ def run_feature_job(
     from multimedia_indexing_ray.specs import DEFAULT_SPECS
     from multimedia_indexing_ray.stages.features import WindowKernelFn, prefeaturize
 
-    ds = ray.data.read_parquet(
-        sorted(glob.glob(os.path.join(transcripts_dir, "*.parquet"))),
-        include_paths=include_lineage,
-    )
+    ds = read_transcripts(transcripts_dir, include_paths=include_lineage)
 
     def _pre(batch: pa.Table) -> pa.Table:
         out = prefeaturize(batch)

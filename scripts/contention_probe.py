@@ -5,7 +5,7 @@ engine or Ray."""
 import sys, time, os
 import multiprocessing as mp
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def worker(q):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import sys
 
 import pytest
 
-sys.path.insert(0, "/root/repo")  # repo root importable regardless of cwd
+# this checkout's root, importable regardless of cwd
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 """Source adapters: events->transcript mapping and batch validation."""
 
+import os
+
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -9,8 +11,6 @@ def test_events_to_transcripts(ray_session):
 
     from multimedia_indexing_ray.fixtures import TRANSCRIPT_SCHEMA
     from multimedia_indexing_ray.sources.transcripts import events_to_transcripts
-
-    import os
 
     sf = os.environ.get("GRAFT_PARITY_SF", "/root/testdata/sf0.001")
     ev = rd.read_parquet(f"{sf}/events.parquet")
@@ -61,14 +61,55 @@ def test_prune_columns_reads_only_the_wanted_columns(ray_session, tmp_path):
     from multimedia_indexing_ray.fixtures import generate_transcripts
     from multimedia_indexing_ray.sources.transcripts import prune_columns, read_transcripts
 
+    def rows(d):  # a multi-block read's block order is not fixed
+        return sorted(tuple(r.values()) for r in d.take_all())
+
     pq.write_table(generate_transcripts("smoke"), tmp_path / "part-0.parquet")
     ds = read_transcripts(str(tmp_path))
     pruned = prune_columns(ds, ["conv_id", "ts"])
     assert "Project" not in repr(pruned)
-    assert pruned.take_all() == ds.select_columns(["conv_id", "ts"]).take_all()
+    assert rows(pruned) == rows(ds.select_columns(["conv_id", "ts"]))
     moved = prune_columns(ds.map_batches(lambda b: b, batch_format="pyarrow"), ["ts"])
     assert "Project" in repr(moved)
-    assert moved.take_all() == pruned.select_columns(["ts"]).take_all()
+    assert rows(moved) == rows(pruned.select_columns(["ts"]))
     narrow = read_transcripts(str(tmp_path), columns=["conv_id", "ts"])
     with pytest.raises(Exception):
         prune_columns(narrow, ["conv_id", "text"]).take_all()
+
+
+def test_read_makes_one_block_per_cluster_cpu(ray_session, smoke_dir):
+    """With no ``override_num_blocks`` a read makes one block per CPU of
+    the running cluster (4 in the test session), not Ray's one block per
+    1 MiB; an explicit count wins, and `prune_columns` re-reads keep the
+    resolved count."""
+    from multimedia_indexing_ray.sources.transcripts import prune_columns, read_transcripts
+
+    cpus = int(ray_session.cluster_resources()["CPU"])
+    n_files = len(os.listdir(smoke_dir))
+    assert n_files > cpus
+    ds = read_transcripts(smoke_dir)
+    assert ds.materialize().num_blocks() == cpus
+    assert prune_columns(ds, ["conv_id"]).materialize().num_blocks() == cpus
+    assert read_transcripts(smoke_dir, override_num_blocks=2).materialize().num_blocks() == 2
+    explicit = read_transcripts(smoke_dir, override_num_blocks=n_files)
+    assert prune_columns(explicit, ["conv_id", "ts"]).materialize().num_blocks() == n_files
+
+
+def test_split_hot_features_do_not_depend_on_read_blocks(ray_session, smoke_dir):
+    """`compute_features(split_hot=True)` gives the same table at the
+    default block count and at one block per file: the window kernel
+    works on each conversation's run alone."""
+    from multimedia_indexing_ray.sources.transcripts import read_transcripts
+    from multimedia_indexing_ray.stages.features import compute_features
+
+    keys = ["conv_id", "ts", "turn_idx"]
+
+    def features(**read_kw):
+        ds = read_transcripts(smoke_dir, **read_kw)
+        out = compute_features(ds, split_hot=True, hot_threshold=8, target_chunk_rows=4)
+        return out.to_pandas().sort_values(keys, kind="mergesort").reset_index(drop=True)
+
+    default = features()
+    per_file = features(override_num_blocks=len(os.listdir(smoke_dir)))
+    assert len(default) == 125
+    assert default.equals(per_file)

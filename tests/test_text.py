@@ -15,6 +15,47 @@ def test_token_char_punct_counts():
     np.testing.assert_array_equal(tx.punct_count(arr), [0, 0, 3, 0])
 
 
+def test_token_count_matches_re2_on_adversarial_strings():
+    r"""The byte-level token counter equals RE2's `\S+` match count, as
+    float64 (`turns.n_tokens`, NaN for null) and int64 (`token_count`):
+    RE2's \s is [\t\n\f\r ], so vertical tab, NBSP, em-space and
+    ideographic space are token bytes; sliced and multi-chunk inputs
+    count each string on its own."""
+    import random
+    import warnings
+
+    import pyarrow.compute as pc
+
+    from multimedia_indexing_ray.functions.turns import n_tokens
+
+    fixed = ["", None, "\v", " ", "\u00a0", "\u2003", "\u3000", " lead", "trail ",
+             "  both  ", "a\vb", "a\u00a0b", "a\u2003b", "\t\n\f\r", "日本 語 ",
+             "héllo\twörld", "x" * 300, " y" * 300]
+    rng = random.Random(7)
+    alphabet = [" ", "\t", "\n", "\f", "\r", "\v", "\u00a0", "\u2003", "a", "é", "語",
+                "\x00", "\x85"]
+    fixed += [
+        None if rng.random() < 0.1
+        else "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 10)))
+        for _ in range(2000)
+    ]
+    for typ in (pa.string(), pa.large_string()):
+        arr = pa.array(fixed, typ)
+        cases = [
+            arr, arr.slice(3), arr.slice(7, 40), arr.slice(len(arr)), pa.array([None, None], typ),
+            pa.chunked_array([arr.slice(0, 9), arr.slice(9, 0), arr.slice(9)]),
+            pa.chunked_array([], typ),
+        ]
+        for text in cases:
+            re2 = pc.count_substring_regex(text, r"\S+").to_numpy(zero_copy_only=False)
+            got = n_tokens(text)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, re2.astype(np.float64))
+            with warnings.catch_warnings():  # NaN -> int64 for nulls, as RE2's path does
+                warnings.simplefilter("ignore", RuntimeWarning)
+                np.testing.assert_array_equal(tx.token_count(text), re2.astype(np.int64))
+
+
 def test_stopword_count_word_boundaries():
     arr = pa.array(["the theme of a cat", "another band"])
     # 'the' matches, 'theme' must not; 'of'/'a' match; 'another' not
