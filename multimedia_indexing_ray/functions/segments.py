@@ -121,30 +121,38 @@ def group_start_rows(boundaries: np.ndarray) -> np.ndarray:
     return starts[group_index(boundaries)]
 
 
+def segment_offsets(spans: np.ndarray, margin_us: int, op_name: str) -> np.ndarray:
+    """Start of each segment on a fused int64 axis: the exclusive cumsum
+    of ``span + margin + 2``, so consecutive segments sit more than
+    `margin_us` apart.  The axis must stay below 2**62."""
+    pad = int(margin_us) + 2
+    total = float(spans.sum(dtype=np.float64)) + len(spans) * float(pad)
+    if total >= 2**62:
+        raise OverflowError(
+            f"{op_name} overflow: sum of (span + margin + 2) over {len(spans)} "
+            f"segments is {total:.4g}, not below 2**62"
+        )
+    off = np.zeros(len(spans), dtype=np.int64)
+    np.cumsum(spans[:-1] + pad, out=off[1:])
+    return off
+
+
 def adjusted_ts(ts_us: np.ndarray, starts: np.ndarray, margin_us: int) -> np.ndarray:
     """Fold (conversation, ts) into one strictly-segment-separated monotone
-    int64 axis: ord(conv) * step + (ts - conv_first_ts), with
-    step > max_span + margin so no window of width <= margin can cross a
-    conversation boundary.  Enables a single global searchsorted for as-of
-    cursors and window bounds (the gallop-search analog)."""
+    int64 axis: offset(conv) + (ts - conv_first_ts), with each offset
+    more than `margin_us` past the previous conversation's last ts, so no
+    window of width <= margin can cross a conversation boundary.  Enables
+    a single global searchsorted for as-of cursors and window bounds (the
+    gallop-search analog)."""
     n = len(ts_us)
     if n == 0:
         return np.empty(0, dtype=np.int64)
     counts = segment_counts(starts, n)
-    base = np.repeat(ts_us[starts], counts)
-    rel = ts_us - base
+    rel = ts_us - np.repeat(ts_us[starts], counts)
     if rel.min() < 0:
         raise ValueError("ts not sorted nondecreasing within segments")
-    span = int(rel.max()) if n else 0
-    step = span + int(margin_us) + 2
-    n_segs = len(starts)
-    if step * (n_segs + 1) >= 2**62:
-        raise OverflowError(
-            f"adjusted_ts overflow: {n_segs} segments x step {step}; "
-            "split the partition (smaller num_partitions per block)"
-        )
-    ordinal = np.repeat(np.arange(n_segs, dtype=np.int64), counts)
-    return ordinal * step + rel
+    spans = np.maximum.reduceat(rel, starts)
+    return np.repeat(segment_offsets(spans, margin_us, "adjusted_ts"), counts) + rel
 
 
 def visible_hi(ts_adj: np.ndarray) -> np.ndarray:

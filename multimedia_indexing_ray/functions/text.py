@@ -11,6 +11,7 @@ oracle using the same RE2 patterns (DuckDB regexp_*) matches exactly.
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 import pyarrow as pa
@@ -19,7 +20,6 @@ import pyarrow.compute as pc
 from multimedia_indexing_ray.functions import grams
 from multimedia_indexing_ray.functions.turns import n_tokens
 
-TOKEN_RE = r"\S+"
 # BPE-ish pre-tokenizer (GPT-2 style, minus the RE2-unsupported
 # lookahead and the whitespace-run branch): contraction suffixes,
 # space-prefixed letter/digit runs, space-prefixed symbol runs.
@@ -119,9 +119,10 @@ def _hash64(tokens: np.ndarray, seed: int) -> np.ndarray:
 
 
 def tokenize(text: str) -> "list[str]":
-    import re
-
-    return re.findall(TOKEN_RE, text)
+    r"""Whitespace tokens of one string, split where RE2's ``\s`` is
+    (``[\t\n\f\r ]``), so they equal `flat_tokens`' Arrow split and
+    the oracle's ``\S+``."""
+    return [t for t in re.split(r"[\t\n\f\r ]+", text) if t]
 
 
 # FNV-1a over Unicode code points — a stable hash BOTH numpy (vectorized,

@@ -35,34 +35,22 @@ from multimedia_indexing_ray.stages.features import (
     compute_features,
     prefeaturize,
 )
-from multimedia_indexing_ray.stages.partition import (
-    DEFAULT_NUM_PARTITIONS,
-    PART_COL,
-    PARTITION_BYTES_WARN,
-    multi_key_partition_ids,
-    partition_ids,
-)
-
-import logging
-
-logger = logging.getLogger(__name__)
+from multimedia_indexing_ray.stages.partition import exchange_by_key
 
 
 def transcript_features(
     source: Union[str, Sequence[str], "ray.data.Dataset"],
     specs: FeatureSpecs = DEFAULT_SPECS,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
     **kw,
 ) -> "ray.data.Dataset":
     ds = source if isinstance(source, ray.data.Dataset) else read_transcripts(source)
-    return compute_features(ds, specs, num_partitions=num_partitions, **kw)
+    return compute_features(ds, specs, **kw)
 
 
 def features_at(
     source: Union[str, Sequence[str], "ray.data.Dataset"],
     queries: "ray.data.Dataset",
     specs: FeatureSpecs = DEFAULT_SPECS,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
     keep_unmatched: bool = True,
     columns: Optional[Sequence[str]] = None,
     fused: bool = True,
@@ -76,9 +64,9 @@ def features_at(
     Output: query columns + matched_ts / matched_turn_idx + matched_<f>
     for every feature column (typed nulls where no turn is visible).
 
-    ``fused=True`` (default): ONE co-partition exchange carries slim
+    ``fused=True`` (default): ONE keyed exchange carries slim
     per-turn prefeatures + probes; the window features are computed AND
-    matched inside the same partition kernel, so the 37-col vector never
+    matched inside the same kernel call, so the 37-col vector never
     crosses the wire (the round-1 two-phase plan shipped every turn's
     full vector through a second exchange — 3+ GB at bench scale — and
     was bandwidth-bound at 42-44k probes/sec; see BASELINE.md).
@@ -93,8 +81,8 @@ def features_at(
     PROBE is routed to its chunk by ``searchsorted(boundaries, probe_ts)``
     — a probe's backward as-of match is always inside its own chunk
     (every chunk's first turn sits exactly ON the boundary timestamp), so
-    the fused kernel needs only that chunk's turns.  Without it the fused
-    kernel holds one hash partition's whole conversations, so a
+    the fused kernel needs only that chunk's turns.  Without it each fused
+    kernel call holds its conversations whole, so a
     mega-conversation plus its probe load lands on one worker (the probe
     prunes/partitions work, `visual/datastructures/IVFPQ.java:408-450`)."""
     if not fused:
@@ -103,7 +91,6 @@ def features_at(
         feats = transcript_features(
             source,
             specs,
-            num_partitions,
             split_hot=split_hot,
             hot_threshold=hot_threshold,
             target_chunk_rows=target_chunk_rows,
@@ -120,7 +107,6 @@ def features_at(
             left_key="conv_id",
             left_on="ts",
             tiebreak="turn_idx",
-            num_partitions=num_partitions,
             keep_unmatched=keep_unmatched,
         )
     ds = source if isinstance(source, ray.data.Dataset) else read_transcripts(source)
@@ -163,10 +149,6 @@ def features_at(
         for pcol in probe_payload:
             cols[f"__q_{pcol}"] = pa.nulls(n, probe_types[pcol])
         cols["__side"] = pa.array(np.zeros(n, dtype=np.int8))
-        if plan is None:
-            cols[PART_COL] = pa.array(
-                partition_ids(t["conv_id"].to_numpy(zero_copy_only=False), num_partitions)
-            )
         return pa.table(cols)
 
     turn_pad = {
@@ -196,9 +178,6 @@ def features_at(
             cols[f"__q_{pcol}"] = batch[pcol]
         cols["__side"] = pa.array(np.ones(n, dtype=np.int8))
         if plan is None:
-            cols[PART_COL] = pa.array(
-                partition_ids(cols["conv_id"].to_numpy(zero_copy_only=False), num_partitions)
-            )
             return pa.table(cols)
         # split path: route each probe to its chunk (probe chunk =
         # searchsorted on the plan's boundaries — same rule assign_chunks
@@ -232,19 +211,6 @@ def features_at(
         from multimedia_indexing_ray.stages.hotkeys import assign_chunks
 
         turns = assign_chunks(turns, plan)
-
-        def _add_part(batch: pa.Table) -> pa.Table:
-            # partition on (conv_id, chunk): a hot conversation's chunks —
-            # and the probes routed to them — spread across workers
-            return batch.append_column(
-                PART_COL,
-                pa.array(
-                    multi_key_partition_ids(batch, ["conv_id", CHUNK_COL], num_partitions)
-                ),
-            )
-
-        turns = turns.map_batches(_add_part, batch_format="pyarrow")
-        probes = probes.map_batches(_add_part, batch_format="pyarrow")
     kernel = WindowKernelFn(specs)
     split_cols = (
         [CHUNK_COL, *(f"__sessoff_{s}" for s in _plan_spec_names(plan)), EMIT_COL]
@@ -253,14 +219,6 @@ def features_at(
     )
 
     def _serve(table: pa.Table) -> pa.Table:
-        if table.nbytes > PARTITION_BYTES_WARN:
-            logger.warning(
-                "features_at partition group holds %.1f GiB in one worker; "
-                "raise num_partitions (now %d) or enable split_hot to bound "
-                "per-group memory",
-                table.nbytes / 1024**3, num_partitions,
-            )
-        table = table.drop_columns([PART_COL])
         side = table["__side"].to_numpy(zero_copy_only=False)
         tmask = pa.array(side == 0)
         turn_cols = ["conv_id", "turn_idx", "ts", *BASE_PRE_COLS, *split_cols]
@@ -309,6 +267,7 @@ def features_at(
             res = res.filter(vmask)
         return res
 
-    return turns.union(probes).groupby(PART_COL).map_groups(
-        _serve, batch_format="pyarrow"
-    )
+    # keyed on (conv_id, chunk) under a split plan: a hot conversation's
+    # chunks — and the probes routed to them — spread across calls
+    part_key = "conv_id" if plan is None else ["conv_id", CHUNK_COL]
+    return exchange_by_key(turns.union(probes), part_key, _serve)

@@ -396,7 +396,6 @@ def q_asof(sf_dir: str):
         left_on="ts",
         tiebreak="event_id",
         matched_prefix="asof_",
-        num_partitions=32,
     )
     return joined.select_columns(["event_id", "user_id", "asof_value", "asof_event_id"])
 
@@ -434,7 +433,6 @@ def q_asof_tolerance(sf_dir: str):
         left_on="ts",
         tiebreak="event_id",
         matched_prefix="asof_",
-        num_partitions=32,
         tolerance_s=3600.0,
     )
     return joined.select_columns(["event_id", "user_id", "asof_value", "asof_event_id"])
@@ -476,7 +474,6 @@ def q_asof_nearest(sf_dir: str):
         left_on="ts",
         tiebreak="event_id",
         matched_prefix="asof_",
-        num_partitions=32,
         direction="nearest",
     )
     return joined.select_columns(["event_id", "user_id", "asof_value", "asof_event_id"])
@@ -588,7 +585,7 @@ def q_top_customers(sf_dir: str):
     # BEFORE the limit), then per-block partial top-10 -> one tiny merge
     # instead of a global sort (K7 pattern)
     cust = _rp(sf_dir, "customer", ["c_custkey", "c_name"])
-    named = hash_join(agg, cust, left_on="o_custkey", right_on="c_custkey", num_partitions=16)
+    named = hash_join(agg, cust, left_on="o_custkey", right_on="c_custkey")
 
     def _partial_top(batch: pa.Table) -> pa.Table:
         idx = pc.sort_indices(
@@ -709,7 +706,7 @@ def q_region_revenue(sf_dir: str):
 
     li_partial = li.map_batches(_pre_agg, batch_format="pyarrow")
     # big x big: bucketed hash join on the pre-aggregated left side
-    li_ord = hash_join(li_partial, orders, left_on="l_orderkey", right_on="o_orderkey", num_partitions=32)
+    li_ord = hash_join(li_partial, orders, left_on="l_orderkey", right_on="o_orderkey")
     joined = broadcast_join(li_ord, dim, keys="o_custkey", right_keys="c_custkey")
 
     return _tiny_group_sum(joined, ["r_name"], ["revenue_cents"])
@@ -885,7 +882,7 @@ def q_nation_revenue_share(sf_dir: str):
     else:
         li_partial = li.map_batches(_pre_agg, batch_format="pyarrow")
         li_ord = hash_join(
-            li_partial, orders, left_on="l_orderkey", right_on="o_orderkey", num_partitions=32
+            li_partial, orders, left_on="l_orderkey", right_on="o_orderkey"
         )
         joined = broadcast_join(li_ord, dim, keys="o_custkey", right_keys="c_custkey")
         agg = _tiny_group_sum(joined, ["r_name", "n_name"], ["revenue_cents"])
@@ -965,14 +962,12 @@ def q_basket_part_pairs(sf_dir: str):
     a third shuffle; pair support is pre-filtered (n_both >= 2) before
     the metric map."""
     li = _rp(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-    return basket_pair_metrics(li, num_partitions=32)
+    return basket_pair_metrics(li)
 
 
-def basket_pair_metrics(
-    li: "ray.data.Dataset", num_partitions: int
-) -> "ray.data.Dataset":
-    """Pipeline body of `basket_part_pairs`, parameterized on partition
-    count so partition invariance is directly testable."""
+def basket_pair_metrics(li: "ray.data.Dataset") -> "ray.data.Dataset":
+    """Pipeline body of `basket_part_pairs` over any lineitem dataset, so
+    invariance to the input's block layout is directly testable."""
     import ray as _ray
 
     _ROWS_EMPTY = pa.table(
@@ -1039,12 +1034,8 @@ def basket_pair_metrics(
     def _sum_kernel(t: pa.Table) -> pa.Table:
         return _pa_group_sum(t, ["p_a", "p_b"], ["n"])
 
-    expanded = map_partitions_by_key(
-        li, "l_orderkey", _expand, num_partitions=num_partitions
-    )
-    agg = map_partitions_by_key(
-        expanded, "p_a", _sum_kernel, num_partitions=num_partitions
-    ).materialize()
+    expanded = map_partitions_by_key(li, "l_orderkey", _expand)
+    agg = map_partitions_by_key(expanded, "p_a", _sum_kernel).materialize()
 
     side = agg.filter(expr="p_a < 0 or p_b < 0")
     side_tables = list(side.iter_batches(batch_format="pyarrow"))
@@ -1229,7 +1220,6 @@ def q_shipping_priority(sf_dir: str):
             orders.map_batches(_ofilter, batch_format="pyarrow"),
             left_on="l_orderkey",
             right_on="o_orderkey",
-            num_partitions=16,
         )
 
     # a joined block is NOT guaranteed key-complete (Ray can split a
@@ -1301,9 +1291,7 @@ def q_shipping_priority(sf_dir: str):
         return ray.data.from_arrow(_merge(_topk(t)))
 
     partials = _joined().map_batches(_partial_sum, batch_format="pyarrow")
-    return gather(
-        map_partitions_by_key(partials, "l_orderkey", _topk, num_partitions=16), _merge
-    )
+    return gather(map_partitions_by_key(partials, "l_orderkey", _topk), _merge)
 
 
 @register(
@@ -1341,7 +1329,6 @@ def q_distinct_users(sf_dir: str):
         ev.map_batches(_batch_distinct, batch_format="pyarrow"),
         "user_id",
         kernel,
-        num_partitions=16,
     )
 
 
@@ -1359,7 +1346,7 @@ def q_distinct_users(sf_dir: str):
 )
 def q_dedup_exact(sf_dir: str):
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
-    return dd.exact_dedup_stats(docs, "text", "doc_id", num_partitions=16)
+    return dd.exact_dedup_stats(docs, "text", "doc_id")
 
 
 @register(
@@ -1616,7 +1603,6 @@ def q_top_term(sf_dir: str):
 
     df_ds = map_partitions_by_key(
         docs.map_batches(_partial_df, batch_format="pyarrow"), "tok", _reduce_df,
-        num_partitions=8,
     ).materialize()
     if fits(df_ds.count(), VOCAB_ROWS):
         # the df table is the small aggregated side (vocabulary-sized);
@@ -1674,9 +1660,8 @@ def q_top_term(sf_dir: str):
         df_ds,
         left_on="term",
         right_on="tok",
-        num_partitions=16,
     )
-    return map_partitions_by_key(joined, "doc_id", _argmax_group, num_partitions=16)
+    return map_partitions_by_key(joined, "doc_id", _argmax_group)
 
 
 @register(
@@ -1721,7 +1706,6 @@ def q_distinct_users_hourly(sf_dir: str):
 
     return map_partitions_by_key(
         ev.map_batches(_pairs, batch_format="pyarrow"), "window_start", _count,
-        num_partitions=8,
     )
 
 
@@ -1789,7 +1773,6 @@ def q_value_quantiles(sf_dir: str):
 
     return map_partitions_by_key(
         ev.map_batches(_hist, batch_format="pyarrow"), "event_type", _quant,
-        num_partitions=4,
     )
 
 
@@ -1900,7 +1883,6 @@ def q_pack_context_windows(sf_dir: str):
         counted,
         "grp",
         lambda t: pack_partition(t, capacity=128, group_size=32),
-        num_partitions=16,
     )
 
 
@@ -2003,12 +1985,8 @@ def q_minhash(sf_dir: str):
     exact Jaccard, so a banding recall regression (a missed true pair)
     turns the driver row red."""
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
-    cands = dd.minhash_lsh_pairs(
-        docs, "text", "doc_id", threshold=0.5, num_partitions=16, concurrency=8
-    )
-    return dd.exact_jaccard_verify(
-        cands, docs, "text", "doc_id", threshold=0.8, num_partitions=16
-    )
+    cands = dd.minhash_lsh_pairs(docs, "text", "doc_id", threshold=0.5, concurrency=8)
+    return dd.exact_jaccard_verify(cands, docs, "text", "doc_id", threshold=0.8)
 
 
 def _fnv_sql(s: str, basis: int) -> str:
@@ -2146,7 +2124,7 @@ def q_knn(sf_dir: str):
 def q_embedding_neardup(sf_dir: str):
     emb = _rp(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
     return dd.embedding_neardup_pairs(
-        emb, "embedding", "vec_id", "label", threshold=0.3, num_partitions=8
+        emb, "embedding", "vec_id", "label", threshold=0.3
     )
 
 
@@ -2233,7 +2211,7 @@ def q_embedding_neardup_lsh(sf_dir: str):
     emb = _rp(sf_dir, "embeddings", ["vec_id", "embedding", "label"])
     dim = 64
     pairs = dd.embedding_neardup_lsh(
-        emb, "embedding", "vec_id", dim, threshold=0.3, num_partitions=8,
+        emb, "embedding", "vec_id", dim, threshold=0.3,
         n_bands=32, bits_per_band=2, bucket_cap=4096,
     )
     return pairs.select_columns(["a_id", "b_id"])
@@ -2554,9 +2532,7 @@ def q_incremental_serving_current(sf_dir: str):
 @register("flagship_features", _flagship_sql())
 def q_flagship(sf_dir: str):
     ev = _rp(sf_dir, "events")
-    return compute_features(
-        events_to_transcripts(ev), DEFAULT_SPECS, num_partitions=32
-    )
+    return compute_features(events_to_transcripts(ev), DEFAULT_SPECS)
 
 
 def queries() -> "Dict[str, Callable[[str], Any]]":
@@ -2902,7 +2878,7 @@ def q_user_type_pivot(sf_dir: str):
         return pa.table(cols)
 
     partials = ev.map_batches(_partial, batch_format="pyarrow")
-    return map_partitions_by_key(partials, "user_id", _pivot, num_partitions=16)
+    return map_partitions_by_key(partials, "user_id", _pivot)
 
 
 @register(
@@ -3058,7 +3034,7 @@ def q_session_funnel(sf_dir: str):
             }
         )
 
-    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -3107,7 +3083,6 @@ def q_retention_cohorts(sf_dir: str):
 
     cells = keyed_scan(
         ev.map_batches(_days, batch_format="pyarrow"), "user_id", ["day"], body,
-        num_partitions=16,
     )
     return _tiny_group_sum(cells, ["cohort_day", "day_offset"], ["n_users"])
 
@@ -3162,7 +3137,7 @@ def q_group_split_assign(sf_dir: str):
         )
 
     partials = ev.map_batches(_partial, batch_format="pyarrow")
-    return map_partitions_by_key(partials, "user_id", _final, num_partitions=16)
+    return map_partitions_by_key(partials, "user_id", _final)
 
 
 @register(
@@ -3569,7 +3544,6 @@ def q_corpus_curation(sf_dir: str):
         docs.map_batches(_quality, batch_format="pyarrow"),
         ["text"],
         ["doc_id"],
-        num_partitions=16,
     ).drop_columns(["text"])
 
     def _split(batch: pa.Table) -> pa.Table:
@@ -3614,7 +3588,7 @@ def q_topk_per_user(sf_dir: str):
         rnk = rel[rel < 3] + 1
         return out.append_column("rnk", pa.array(rnk.astype(np.int64), pa.int64()))
 
-    return map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
+    return map_partitions_by_key(ev, "user_id", kernel)
 
 
 @register(
@@ -3642,7 +3616,7 @@ def q_ngram_jaccard(sf_dir: str):
     SQL-oracled (replaces the round-1 corpus-broadcast verify)."""
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
     return dd.anchor_jaccard_pairs(
-        docs, "text", "doc_id", threshold=0.3, num_partitions=16,
+        docs, "text", "doc_id", threshold=0.3,
         coalesce=fits(docs.count(), COALESCE_DOCS),
     )
 
@@ -3681,7 +3655,7 @@ def q_containment_neardup(sf_dir: str):
     first-per-pair dedup."""
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
     return dd.anchor_containment_pairs(
-        docs, "text", "doc_id", threshold=0.8, num_partitions=16,
+        docs, "text", "doc_id", threshold=0.8,
         coalesce=fits(docs.count(), COALESCE_DOCS),
     )
 
@@ -3734,12 +3708,10 @@ def q_dedup_clusters(sf_dir: str):
 
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
     pairs = dd.anchor_jaccard_pairs(
-        docs, "text", "doc_id", threshold=0.3, num_partitions=16,
+        docs, "text", "doc_id", threshold=0.3,
         coalesce=fits(docs.count(), COALESCE_DOCS),
     )
-    return resolve_clusters(
-        docs.select_columns(["doc_id"]), "doc_id", pairs, num_partitions=16
-    )
+    return resolve_clusters(docs.select_columns(["doc_id"]), "doc_id", pairs)
 
 
 @register(
@@ -3780,7 +3752,6 @@ def q_dedup_canonical_best(sf_dir: str):
         "text",
         "doc_id",
         threshold=0.3,
-        num_partitions=16,
         coalesce=fits(docs.count(), COALESCE_DOCS),
     )
     return resolve_clusters_best(
@@ -4084,7 +4055,7 @@ def q_media_video_dups(sf_dir: str):
     )
 
     media = rd.from_arrow(synthetic_dup_avi_table(60, seed=23))
-    return media_phash_pairs(media, concurrency=2, num_partitions=8)
+    return media_phash_pairs(media, concurrency=2)
 
 
 @register(
@@ -4112,7 +4083,7 @@ def q_media_audio_dups(sf_dir: str):
     )
 
     media = rd.from_arrow(synthetic_dup_wav_table(60, seed=19))
-    return media_phash_pairs(media, concurrency=2, num_partitions=8)
+    return media_phash_pairs(media, concurrency=2)
 
 
 @register(
@@ -4148,7 +4119,7 @@ def q_media_mixed_dups(sf_dir: str):
         .union(rd.from_arrow(synthetic_dup_wav_table(60, seed=19)))
         .union(rd.from_arrow(synthetic_dup_avi_table(60, seed=23)))
     )
-    return media_phash_pairs(media, concurrency=2, num_partitions=8)
+    return media_phash_pairs(media, concurrency=2)
 
 
 _URL_FIXTURE_CACHE: "dict[str, object]" = {}
@@ -4301,7 +4272,7 @@ def q_url_fetch_phash_dups(sf_dir: str):
         return t.filter(good).select(["media_id", "payload"])
 
     media = fetched.map_batches(_ok, batch_format="pyarrow")
-    return media_phash_pairs(media, concurrency=4, num_partitions=4)
+    return media_phash_pairs(media, concurrency=4)
 
 
 @register("pq_knn_l2")  # ADC scan of STORED PQ codes (PQ.java analog) — rows-only
@@ -4393,7 +4364,6 @@ def q_asof_forward(sf_dir: str):
         tiebreak="event_id",
         direction="forward",
         matched_prefix="next_",
-        num_partitions=32,
     )
     return joined.select_columns(["event_id", "user_id", "next_value", "next_event_id"])
 
@@ -4424,7 +4394,6 @@ def q_range_join(sf_dir: str):
         lower_s=-3600.0,
         upper_s=3600.0,
         matched_prefix="near_",
-        num_partitions=32,
     )
     return joined.select_columns(["event_id", "user_id", "near_event_id", "near_value"])
 
@@ -4489,7 +4458,7 @@ def q_zscore_per_user(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
+    return map_partitions_by_key(ev, "user_id", kernel)
 
 
 @register(
@@ -4520,7 +4489,7 @@ def q_median(sf_dir: str):
             }
         )
 
-    return keyed_scan(ev, "user_id", ["value"], body, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["value"], body)
 
 
 @register(
@@ -4856,7 +4825,6 @@ def q_asof_last3_purchases(sf_dir: str):
         tiebreak="event_id",
         allow_exact_matches=False,
         out_prefix="last",
-        num_partitions=32,
     )
 
     def _finish(batch: pa.Table) -> pa.Table:
@@ -4973,8 +4941,9 @@ def q_twa_value(sf_dir: str):
     pre-window event still covering the window start).  Equal-ts runs
     have zero-width segments, so last-write-wins falls out of the sort
     — matching the oracle's arg_max per (user, ts).  Overflow budget:
-    Σ cents·µs per partition group must stay below 2^63 (same stated
-    discipline as `prefix_sums_int`; num_partitions bounds it).  ONE
+    Σ cents·µs per kernel call must stay below 2^63 (same stated
+    discipline as `prefix_sums_int`; more input blocks make smaller
+    calls).  ONE
     shuffle on user_id."""
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
     W = 3600 * 1_000_000
@@ -5010,7 +4979,7 @@ def q_twa_value(sf_dir: str):
             }
         )
 
-    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -5054,7 +5023,7 @@ def q_rolling_pctrank(sf_dir: str):
             }
         )
 
-    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -5106,7 +5075,7 @@ def q_event_type_streak(sf_dir: str):
             }
         )
 
-    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -5246,7 +5215,7 @@ def q_global_sliding_1h(sf_dir: str):
         )
 
     routed = ev.map_batches(_route, batch_format="pyarrow")
-    return map_partitions_by_key(routed, "__bucket", kernel, num_partitions=32)
+    return map_partitions_by_key(routed, "__bucket", kernel)
 
 
 @register(
@@ -5287,7 +5256,7 @@ def q_rolling_rowframe_5(sf_dir: str):
             }
         )
 
-    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -5328,7 +5297,7 @@ def q_rolling_iqr(sf_dir: str):
             }
         )
 
-    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -5410,7 +5379,7 @@ def q_purchases_between_errors(sf_dir: str):
             }
         )
 
-    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -5535,7 +5504,6 @@ def q_editdist_neardup(sf_dir: str):
         "text",
         "doc_id",
         max_dist=16,
-        num_partitions=16,
         coalesce=fits(docs.count(), COALESCE_DOCS),
     )
 
@@ -5589,7 +5557,7 @@ def q_target_encode_user(sf_dir: str):
             }
         )
 
-    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -5628,7 +5596,6 @@ def q_orders_per_customer_hist(sf_dir: str):
         orders.map_batches(_partial, batch_format="pyarrow"),
         "c_custkey",
         lambda t: _pa_group_sum(t, ["c_custkey"], ["cnt"]),
-        num_partitions=16,
     )
 
     def _hist_partial(batch: pa.Table) -> pa.Table:
@@ -5732,7 +5699,6 @@ def q_inverted_index(sf_dir: str):
 
     return map_partitions_by_key(
         docs.map_batches(_partial, batch_format="pyarrow"), "term", _reduce,
-        num_partitions=8,
     )
 
 
@@ -5919,7 +5885,7 @@ def q_ntile_value_per_type(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(ev, "event_type", kernel, num_partitions=8)
+    return map_partitions_by_key(ev, "event_type", kernel)
 
 
 @register(
@@ -6065,7 +6031,6 @@ def q_users_without_high_value(sf_dir: str):
             ev.map_batches(_pairs, batch_format="pyarrow"),
             "user_id",
             _resolve,
-            num_partitions=16,
         )
 
     rows = purch.take_all()
@@ -6137,7 +6102,7 @@ def q_ewma_value_per_user(sf_dir: str):
             }
         )
 
-    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -6193,7 +6158,7 @@ def q_user_type_unpivot(sf_dir: str):
         )
 
     partials = ev.map_batches(_partial, batch_format="pyarrow")
-    return map_partitions_by_key(partials, "user_id", _pivot_melt, num_partitions=16)
+    return map_partitions_by_key(partials, "user_id", _pivot_melt)
 
 
 @register(
@@ -6258,7 +6223,6 @@ def q_outlier_events_p99(sf_dir: str):
 
     thresholds = map_partitions_by_key(
         ev.map_batches(_hist, batch_format="pyarrow"), "event_type", _p99,
-        num_partitions=4,
     ).take_all()
     tmap_types = np.array([r["event_type"] for r in thresholds])
     tmap_p99 = np.array([r["p99_cents"] for r in thresholds], dtype=np.int64)
@@ -6323,7 +6287,7 @@ def q_pagerank_neardup(sf_dir: str):
 
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
     pairs = dd.anchor_jaccard_pairs(
-        docs, "text", "doc_id", threshold=0.3, num_partitions=16,
+        docs, "text", "doc_id", threshold=0.3,
         coalesce=fits(docs.count(), COALESCE_DOCS),
     )
     return pagerank(pairs, rounds=3)
@@ -6375,7 +6339,7 @@ def q_cum_distinct_types(sf_dir: str):
             }
         )
 
-    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -6407,7 +6371,7 @@ def q_triangle_counts_neardup(sf_dir: str):
 
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
     pairs = dd.anchor_jaccard_pairs(
-        docs, "text", "doc_id", threshold=0.3, num_partitions=16,
+        docs, "text", "doc_id", threshold=0.3,
         coalesce=fits(docs.count(), COALESCE_DOCS),
     )
     return triangle_counts(pairs)
@@ -6450,7 +6414,7 @@ def q_temporal_split_assign(sf_dir: str):
             }
         )
 
-    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -6489,7 +6453,7 @@ def q_user_tenure_features(sf_dir: str):
             }
         )
 
-    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -6727,7 +6691,7 @@ def q_corpus_curation_v2(sf_dir: str):
 
     pairs = dd.anchor_jaccard_pairs(
         surv.select_columns(["doc_id", "text"]), "text", "doc_id",
-        threshold=0.3, num_partitions=16,
+        threshold=0.3,
         coalesce=fits(surv.count(), COALESCE_DOCS),  # surv is materialized
     )
     resolved = resolve_clusters_best(
@@ -6800,7 +6764,7 @@ def q_corpus_curation_v2(sf_dir: str):
             keep = (~drop_m) & ~sg.sorted_member(dr, ids)
             return _chunk_table(t.filter(pa.array(keep)).drop_columns(["__drop"]))
 
-        return map_partitions_by_key(both, "doc_id", _anti_chunk, num_partitions=16)
+        return map_partitions_by_key(both, "doc_id", _anti_chunk)
 
     lose = lose_ds.take_all()
     dropped = np.unique(np.array([r["doc_id"] for r in lose], dtype=np.int64))
@@ -6910,7 +6874,7 @@ def q_event_transition_probs(sf_dir: str):
         p = nn.astype(np.float64) / tot[inv]
         return g.append_column("p", pa.array(p, pa.float64()))
 
-    partials = keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
+    partials = keyed_scan(ev, "user_id", ["ts", "event_id"], body)
     return gather(partials, _final)
 
 
@@ -6981,7 +6945,7 @@ def q_session_trigrams(sf_dir: str):
             {"trigram": pa.array(lab, pa.string()), "n": pa.array(cnt[nz], pa.int64())}
         )
 
-    partials = keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
+    partials = keyed_scan(ev, "user_id", ["ts", "event_id"], body)
     return _tiny_group_sum(partials, ["trigram"], ["n"])
 
 
@@ -7160,7 +7124,6 @@ def q_tfidf_top_terms(sf_dir: str):
 
     df_ds = map_partitions_by_key(
         docs.map_batches(_df_partial, batch_format="pyarrow"), "term", _df_reduce,
-        num_partitions=8,
     ).materialize()
     # open-domain corpora have UNBOUNDED vocabularies: the broadcast df
     # table is gated (same pattern as exact_jaccard_verify's
@@ -7233,9 +7196,8 @@ def q_tfidf_top_terms(sf_dir: str):
         docs.map_batches(_tf_pairs_batch, batch_format="pyarrow"),
         df_ds,
         left_on="term",
-        num_partitions=16,
     )
-    return map_partitions_by_key(joined, "doc_id", _topk, num_partitions=16)
+    return map_partitions_by_key(joined, "doc_id", _topk)
 
 
 @register(
@@ -7303,7 +7265,7 @@ def q_gini_by_type(sf_dir: str):
         )
 
     partials = ev.map_batches(_type_cents_hist, batch_format="pyarrow")
-    return map_partitions_by_key(partials, "event_type", _finish, num_partitions=8)
+    return map_partitions_by_key(partials, "event_type", _finish)
 
 
 @register(
@@ -7420,7 +7382,7 @@ def q_daily_user_spend_rank(sf_dir: str):
         )
 
     partials = ev.map_batches(_partial, batch_format="pyarrow")
-    return map_partitions_by_key(partials, "day_idx", _rank, num_partitions=16)
+    return map_partitions_by_key(partials, "day_idx", _rank)
 
 
 @register(
@@ -7491,7 +7453,7 @@ def q_user_session_profile(sf_dir: str):
             }
         )
 
-    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -7523,7 +7485,7 @@ def q_media_phash_dups(sf_dir: str):
     )
 
     media = rd.from_arrow(synthetic_dup_ppm_table(120, seed=7))
-    return media_phash_pairs(media, concurrency=2, num_partitions=8)
+    return media_phash_pairs(media, concurrency=2)
 
 
 @register(
@@ -7566,7 +7528,7 @@ def q_churn_label_7d(sf_dir: str):
             }
         )
 
-    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -7632,7 +7594,7 @@ def q_spend_trend_per_user(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(ev, "user_id", kernel, num_partitions=32)
+    return map_partitions_by_key(ev, "user_id", kernel)
 
 
 @register(
@@ -7764,7 +7726,6 @@ def q_term_cooccurrence(sf_dir: str):
     return map_partitions_by_key(
         partials, "term_a",
         lambda t: _pa_group_sum(t, ["term_a", "term_b"], ["n_docs"]) if t.num_rows else _empty,
-        num_partitions=8,
     )
 
 
@@ -7875,7 +7836,6 @@ def q_bpe_pair_counts(sf_dir: str):
     return map_partitions_by_key(
         partials, "pair",
         lambda t: _pa_group_sum(t, ["pair"], ["n"]) if t.num_rows else _empty,
-        num_partitions=8,
     )
 
 
@@ -8096,7 +8056,7 @@ def q_user_feature_store(sf_dir: str):
             }
         )
 
-    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -8196,7 +8156,7 @@ def q_hourly_concurrent_sessions(sf_dir: str):
             }
         )
 
-    partials = keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=32)
+    partials = keyed_scan(ev, "user_id", ["ts", "event_id"], body)
     return gather(partials, _scan)
 
 
@@ -8270,7 +8230,7 @@ def q_sliding_distinct_users_1h(sf_dir: str):
             )
         return pa.concat_tables(outs)
 
-    return map_partitions_by_key(ev, "event_type", kernel, num_partitions=8)
+    return map_partitions_by_key(ev, "event_type", kernel)
 
 
 def _kcore_sql(k: int = 2, rounds: int = 5) -> str:
@@ -8309,7 +8269,7 @@ def q_kcore_neardup(sf_dir: str):
 
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
     pairs = dd.anchor_jaccard_pairs(
-        docs, "text", "doc_id", threshold=0.3, num_partitions=16,
+        docs, "text", "doc_id", threshold=0.3,
         coalesce=fits(docs.count(), COALESCE_DOCS),
     )
     return kcore(pairs, k=2, rounds=5)
@@ -8421,7 +8381,6 @@ def q_lm_perplexity_docs(sf_dir: str):
         docs.map_batches(_bc_partial, batch_format="pyarrow"),
         "bg",
         _bc_reduce,
-        num_partitions=8,
     ).materialize()
 
     def _uc_partial(t: pa.Table) -> pa.Table:
@@ -8437,7 +8396,6 @@ def q_lm_perplexity_docs(sf_dir: str):
         bc_ds.map_batches(_uc_partial, batch_format="pyarrow"),
         "w1",
         _uc_reduce,
-        num_partitions=8,
     ).materialize()
 
     import ray as _ray
@@ -8521,11 +8479,9 @@ def q_lm_perplexity_docs(sf_dir: str):
             docs.map_batches(_doc_pairs, batch_format="pyarrow"),
             bc_ds,
             left_on="bg",
-            num_partitions=16,
         ),
         uc_ds,
         left_on="w1",
-        num_partitions=16,
     )
 
     def _doc_reduce(t: pa.Table) -> pa.Table:
@@ -8548,7 +8504,7 @@ def q_lm_perplexity_docs(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(joined, "doc_id", _doc_reduce, num_partitions=16)
+    return map_partitions_by_key(joined, "doc_id", _doc_reduce)
 
 
 _GRAM_CHARS = 16
@@ -8733,12 +8689,9 @@ def q_dup_span_docs(sf_dir: str):
         docs.map_batches(_grams, batch_format="pyarrow"),
         "gram",
         _dup_hits,
-        num_partitions=16,
     )
     lens = docs.map_batches(_len_rows, batch_format="pyarrow")
-    return map_partitions_by_key(
-        lens.union(hits), "doc_id", _coverage, num_partitions=16
-    )
+    return map_partitions_by_key(lens.union(hits), "doc_id", _coverage)
 
 
 _DUP_SCRUB_SQL = f"""
@@ -8860,12 +8813,9 @@ def q_dup_span_scrub(sf_dir: str):
         docs.map_batches(_grams, batch_format="pyarrow"),
         "gram",
         _hit_rows,
-        num_partitions=16,
     )
     doc_rows = docs.map_batches(_doc_rows, batch_format="pyarrow")
-    return map_partitions_by_key(
-        doc_rows.union(hits), "doc_id", _scrub, num_partitions=16
-    )
+    return map_partitions_by_key(doc_rows.union(hits), "doc_id", _scrub)
 
 
 _DSIR_BUCKETS = 256
@@ -9106,7 +9056,6 @@ def q_bm25_top_docs(sf_dir: str):
         docs.map_batches(_df_partial, batch_format="pyarrow"),
         "tok",
         _df_reduce,
-        num_partitions=8,
     )
 
     def _top_terms(t: pa.Table) -> pa.Table:
@@ -9290,7 +9239,7 @@ def q_small_quantity_parts(sf_dir: str):
         )
 
     slim = li.map_batches(_slim, batch_format="pyarrow")
-    return map_partitions_by_key(slim, "partkey", _finish, num_partitions=16)
+    return map_partitions_by_key(slim, "partkey", _finish)
 
 
 @register(
@@ -9375,7 +9324,7 @@ def q_session_day_split(sf_dir: str):
             }
         )
 
-    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=16)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -9437,7 +9386,7 @@ def q_type_diversity_per_user(sf_dir: str):
         )
 
     partials = ev.map_batches(_partials, batch_format="pyarrow")
-    return map_partitions_by_key(partials, "user_id", _finish, num_partitions=16)
+    return map_partitions_by_key(partials, "user_id", _finish)
 
 
 @register(
@@ -9555,7 +9504,6 @@ def q_daily_purchase_error_join(sf_dir: str):
         "user_id",
         ["day_us", "kind"],
         body,
-        num_partitions=16,
     )
 
 
@@ -9667,7 +9615,7 @@ def q_quantile_sketch_conformance(sf_dir: str):
     summaries = ev.map_batches(_summarize, batch_format="pyarrow")
     est_parts = list(
         map_partitions_by_key(
-            summaries, "event_type", _merge, num_partitions=8
+            summaries, "event_type", _merge
         ).iter_batches(batch_format="pyarrow", batch_size=None)
     )
     est_tbl = pa.concat_tables(est_parts) if est_parts else _E_EMPTY
@@ -9740,7 +9688,7 @@ def q_quantile_sketch_conformance(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(ranks, "event_type", _verdict, num_partitions=1)
+    return map_partitions_by_key(ranks, "event_type", _verdict)
 
 
 @register(
@@ -9888,9 +9836,7 @@ def q_chi2_term_lang(sf_dir: str):
         return _pa_group_sum(t, ["term", "lang"], ["a"]) if t.num_rows else _empty_part
 
     partials = docs.map_batches(_partial, batch_format="pyarrow")
-    reduced = map_partitions_by_key(
-        partials, "term", _reduce, num_partitions=16
-    ).materialize()
+    reduced = map_partitions_by_key(partials, "term", _reduce).materialize()
 
     # label totals: the '' sentinel term is aggregate-sized (<= |labels|)
     sent_rows = reduced.filter(expr="term == ''").take_all()
@@ -9978,7 +9924,7 @@ def q_chi2_term_lang(sf_dir: str):
     # term-keyed exchange — the input is the REDUCED table (vocab-sized,
     # slim), so the extra exchange is cheap at any scale
     body = reduced.filter(expr="term != ''")
-    topk = map_partitions_by_key(body, "term", _chi2_topk, num_partitions=16)
+    topk = map_partitions_by_key(body, "term", _chi2_topk)
     return gather(topk, _final)
 
 
@@ -10166,7 +10112,7 @@ def q_semdedup_docs(sf_dir: str):
         )
 
     assigned = embs.map_batches(_assign, batch_format="pyarrow")
-    return map_partitions_by_key(assigned, "centroid_id", _prune, num_partitions=8)
+    return map_partitions_by_key(assigned, "centroid_id", _prune)
 
 
 # ---------------------------------------------------------------------------
@@ -10350,7 +10296,7 @@ def q_mad_outlier_per_type(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(ev, "event_type", kernel, num_partitions=8)
+    return map_partitions_by_key(ev, "event_type", kernel)
 
 
 def _labelprop_sql(rounds: int = 4) -> str:
@@ -10389,7 +10335,7 @@ def q_labelprop_neardup(sf_dir: str):
 
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
     pairs = dd.anchor_jaccard_pairs(
-        docs, "text", "doc_id", threshold=0.3, num_partitions=16,
+        docs, "text", "doc_id", threshold=0.3,
         coalesce=fits(docs.count(), COALESCE_DOCS),
     )
     return label_propagation(pairs, rounds=4)
@@ -10609,7 +10555,7 @@ def q_tv_drift_by_type(sf_dir: str):
 
     ev = _rp(sf_dir, "events", ["event_type", "ts", "value"])
     partials = ev.map_batches(_partial, batch_format="pyarrow")
-    return map_partitions_by_key(partials, "event_type", _finish, num_partitions=8)
+    return map_partitions_by_key(partials, "event_type", _finish)
 
 
 @register(
@@ -10730,7 +10676,7 @@ def q_mutual_knn_pairs(sf_dir: str):
         )
 
     edges = topk.map_batches(_edge_key, batch_format="pyarrow")
-    return map_partitions_by_key(edges, "pair", _match, num_partitions=8)
+    return map_partitions_by_key(edges, "pair", _match)
 
 
 # --------------------------------------------------------------------------
@@ -10847,9 +10793,7 @@ def q_snapshot_diff(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(
-        ev_a.union(ev_b), "event_id", _diff, num_partitions=16
-    )
+    return map_partitions_by_key(ev_a.union(ev_b), "event_id", _diff)
 
 
 _FNV_SQL = (
@@ -11099,7 +11043,7 @@ def q_new_user_rate_daily(sf_dir: str):
 
     ev = _rp(sf_dir, "events", ["user_id", "ts"])
     pairs = ev.map_batches(_pairs, batch_format="pyarrow")
-    partials = map_partitions_by_key(pairs, "user_id", _per_user, num_partitions=16)
+    partials = map_partitions_by_key(pairs, "user_id", _per_user)
     return _tiny_group_sum(partials, ["day"], ["n", "n_new"], _finish)
 
 
@@ -11167,8 +11111,7 @@ def q_key_skew_report(sf_dir: str):
 
     ev = _rp(sf_dir, "events", ["user_id"])
     partials = ev.map_batches(_partial, batch_format="pyarrow")
-    buckets = map_partitions_by_key(partials, "user_id", _bucketize,
-                                    num_partitions=16)
+    buckets = map_partitions_by_key(partials, "user_id", _bucketize)
     return gather(buckets, _merge)
 
 
@@ -11562,9 +11505,7 @@ def q_nucleus_select_docs(sf_dir: str):
         keep = off + cum_within_before < bud
         return t.take(pa.array(order[keep]))
 
-    boundary_kept = map_partitions_by_key(
-        boundary, "source", _boundary_prefix, num_partitions=8
-    )
+    boundary_kept = map_partitions_by_key(boundary, "source", _boundary_prefix)
     return kept.union(boundary_kept)
 
 
@@ -11810,7 +11751,7 @@ def q_debounce_events(sf_dir: str):
         return t.filter(debounce_frontier(t["user_id"].to_numpy(), ts, W_US))
 
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
-    return keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=16)
+    return keyed_scan(ev, "user_id", ["ts", "event_id"], body)
 
 
 @register(
@@ -11853,7 +11794,7 @@ def q_group_sample_k(sf_dir: str):
 
     ev = _rp(sf_dir, "events", ["event_id", "user_id"])
     partials = ev.map_batches(_partial, batch_format="pyarrow")
-    return keyed_scan(partials, "user_id", order, _top3, num_partitions=16)
+    return keyed_scan(partials, "user_id", order, _top3)
 
 
 @register(
@@ -11915,7 +11856,7 @@ def q_time_in_state_by_type(sf_dir: str):
         )
 
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-    partials = keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=16)
+    partials = keyed_scan(ev, "user_id", ["ts", "event_id"], body)
     return _tiny_group_sum(partials, ["event_type"], ["dwell_us", "n"], _finish)
 
 
@@ -12168,7 +12109,7 @@ def q_late_supplier_blame(sf_dir: str):
         return _pa_group_sum(t2, ["suppkey"], ["numwait"])
 
     waits = _tiny_group_sum(
-        map_partitions_by_key(both, "okey", _blame, num_partitions=16),
+        map_partitions_by_key(both, "okey", _blame),
         ["suppkey"],
         ["numwait"],
     )
@@ -12279,7 +12220,7 @@ def q_fk_integrity_audit(sf_dir: str):
         )
 
     return _tiny_group_sum(
-        map_partitions_by_key(both, "okey", _audit, num_partitions=16),
+        map_partitions_by_key(both, "okey", _audit),
         ["chk"],
         ["n"],
     )
@@ -12377,7 +12318,7 @@ def q_window_funnel_levels(sf_dir: str):
 
     ev = _rp(sf_dir, "events", ["user_id", "ts", "event_type"])
     slim = ev.map_batches(_slim, batch_format="pyarrow")
-    return keyed_scan(slim, "user_id", ["ts_us", "prio"], body, num_partitions=16)
+    return keyed_scan(slim, "user_id", ["ts_us", "prio"], body)
 
 
 @register(
@@ -12540,7 +12481,7 @@ def q_source_overlap_matrix(sf_dir: str):
 
     docs = _rp(sf_dir, "documents", ["doc_id", "source", "text"])
     gs = docs.map_batches(_gram_src, batch_format="pyarrow")
-    partials = map_partitions_by_key(gs, "gram", _expand, num_partitions=16)
+    partials = map_partitions_by_key(gs, "gram", _expand)
     # the matrix is aggregate-sized (<= |sources|^2 rows): concat the
     # result blocks on the driver so a single-source corpus (ZERO pair
     # rows) still returns the typed empty table — Ray's to_pandas drops
@@ -12674,10 +12615,8 @@ def q_time_to_purchase_by_cohort(sf_dir: str):
 
     ev = _rp(sf_dir, "events", ["user_id", "ts", "event_type"])
     slim = ev.map_batches(_slim, batch_format="pyarrow")
-    per_user = keyed_scan(slim, "user_id", ["ts_us"], _per_user, num_partitions=16)
-    return map_partitions_by_key(
-        per_user, "cohort_week", _per_cohort, num_partitions=8
-    )
+    per_user = keyed_scan(slim, "user_id", ["ts_us"], _per_user)
+    return map_partitions_by_key(per_user, "cohort_week", _per_cohort)
 
 
 @register(
@@ -12752,8 +12691,8 @@ def q_shingle_novelty_docs(sf_dir: str):
 
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
     gd = docs.map_batches(_gram_doc, batch_format="pyarrow")
-    partials = map_partitions_by_key(gd, "gram", _first_owner, num_partitions=16)
-    return map_partitions_by_key(partials, "doc_id", _per_doc, num_partitions=8)
+    partials = map_partitions_by_key(gd, "gram", _first_owner)
+    return map_partitions_by_key(partials, "doc_id", _per_doc)
 
 
 # --------------------------------------------------------------------------
@@ -12979,7 +12918,6 @@ def q_dense_user_ids(sf_dir: str):
         ev.map_batches(_distinct_partial, batch_format="pyarrow"),
         "user_id",
         _dedup,
-        num_partitions=16,
     )
 
     # per-bucket distinct counts -> global offsets (aggregate-sized)
@@ -13021,7 +12959,7 @@ def q_dense_user_ids(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(distinct, "bucket", _rank, num_partitions=16)
+    return map_partitions_by_key(distinct, "bucket", _rank)
 
 
 # --------------------------------------------------------------------------
@@ -13107,7 +13045,7 @@ def q_dataset_card_by_source_lang(sf_dir: str):
             }
         )
 
-    partials = map_partitions_by_key(docs, "text", _mark, num_partitions=16)
+    partials = map_partitions_by_key(docs, "text", _mark)
     return _tiny_group_sum(
         partials, ["source", "lang"], ["n", "chars", "tokens", "dups"], _finish
     )
@@ -13221,7 +13159,7 @@ def q_order_total_reconciliation(sf_dir: str):
             cols[c] = pa.array([agg], pa.int64())
         return pa.table(cols)
 
-    partials = map_partitions_by_key(both, "okey", _recon, num_partitions=16)
+    partials = map_partitions_by_key(both, "okey", _recon)
     return gather(partials, _merge)
 
 
@@ -13340,7 +13278,7 @@ def q_dau_wau_stickiness(sf_dir: str):
             }
         )
 
-    votes = map_partitions_by_key(pairs, "user_id", _votes, num_partitions=16)
+    votes = map_partitions_by_key(pairs, "user_id", _votes)
     return _tiny_group_sum(votes, ["day"], ["dau", "wau"], _finish)
 
 
@@ -13387,12 +13325,10 @@ def q_dup_cluster_size_hist(sf_dir: str):
 
     docs = _rp(sf_dir, "documents", ["doc_id", "text"])
     pairs = dd.anchor_jaccard_pairs(
-        docs, "text", "doc_id", threshold=0.3, num_partitions=16,
+        docs, "text", "doc_id", threshold=0.3,
         coalesce=fits(docs.count(), COALESCE_DOCS),
     )
-    clusters = resolve_clusters(
-        docs.select_columns(["doc_id"]), "doc_id", pairs, num_partitions=16
-    )
+    clusters = resolve_clusters(docs.select_columns(["doc_id"]), "doc_id", pairs)
 
     def _sizes(batch: pa.Table) -> pa.Table:
         t = pa.table(
@@ -13565,7 +13501,7 @@ def q_quantile_normalize_chars(sf_dir: str):
             }
         )
 
-    return map_partitions_by_key(docs, "source", _rank_and_map, num_partitions=8)
+    return map_partitions_by_key(docs, "source", _rank_and_map)
 
 
 # --------------------------------------------------------------------------
@@ -13711,7 +13647,6 @@ def q_oov_rate_docs(sf_dir: str):
         docs.map_batches(_df_partial, batch_format="pyarrow"),
         "w",
         _local_topk,
-        num_partitions=16,
     ).to_pandas()
     order = sorted(
         zip(-cand["df"].to_numpy(), cand["w"].to_numpy())
@@ -14003,5 +13938,5 @@ def q_session_length_hist(sf_dir: str):
         )
 
     ev = _rp(sf_dir, "events", ["event_id", "user_id", "ts"])
-    partials = keyed_scan(ev, "user_id", ["ts", "event_id"], body, num_partitions=16)
+    partials = keyed_scan(ev, "user_id", ["ts", "event_id"], body)
     return _tiny_group_sum(partials, ["session_len"], ["n_sessions"])

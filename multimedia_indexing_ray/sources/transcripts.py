@@ -20,6 +20,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from multimedia_indexing_ray.stages.partition import cluster_cpus
+
 TRANSCRIPT_COLUMNS = ("conv_id", "turn_idx", "role", "text", "tool", "ts")
 
 # each untransformed `read_transcripts` dataset -> its read arguments, so
@@ -59,7 +61,7 @@ def read_transcripts(
     that grows too large.  ``include_paths`` adds each row's file as a
     ``path`` column."""
     if override_num_blocks is None and ray.is_initialized():
-        override_num_blocks = max(1, int(ray.cluster_resources().get("CPU", 1)))
+        override_num_blocks = cluster_cpus()
     ds = ray.data.read_parquet(
         _paths(source),
         columns=list(columns) if columns else None,

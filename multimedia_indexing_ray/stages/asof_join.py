@@ -35,10 +35,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from multimedia_indexing_ray.stages.partition import (
-    DEFAULT_NUM_PARTITIONS,
-    map_partitions_by_key,
-)
+from multimedia_indexing_ray.functions import segments as sg
+from multimedia_indexing_ray.stages.partition import map_partitions_by_key
 
 SIDE_COL = "__side"
 FPAY_COL = "__lpayf"  # left float64 payload packed as large_list<float64>
@@ -162,7 +160,7 @@ def _t_int64(col: "pa.ChunkedArray", temporal: bool) -> np.ndarray:
 
 def _adjusted_pair(k_l, k_r, t_l, t_r, margin: int, op_name: str):
     """Fold both sides onto one key-segment-separated monotone int64 axis
-    (shared overflow-safe math).  Returns (adj_l, adj_r, c_l, c_r)."""
+    (`segments.segment_offsets`).  Returns (adj_l, adj_r, c_l, c_r)."""
     cats = np.unique(np.concatenate([k_l, k_r]))
     c_l = np.searchsorted(cats, k_l)
     c_r = np.searchsorted(cats, k_r)
@@ -171,11 +169,11 @@ def _adjusted_pair(k_l, k_r, t_l, t_r, margin: int, op_name: str):
     np.minimum.at(base, c_r, t_r)
     rel_l = t_l - base[c_l]
     rel_r = t_r - base[c_r]
-    span = int(max(rel_l.max(initial=0), rel_r.max(initial=0)))
-    step = span + margin + 2
-    if step * (len(cats) + 1) >= 2**62:
-        raise OverflowError(f"{op_name} adjusted axis overflow; raise num_partitions")
-    return c_l * step + rel_l, c_r * step + rel_r, c_l, c_r
+    span = np.zeros(len(cats), dtype=np.int64)
+    np.maximum.at(span, c_l, rel_l)
+    np.maximum.at(span, c_r, rel_r)
+    off = sg.segment_offsets(span, margin, op_name)
+    return off[c_l] + rel_l, off[c_r] + rel_r, c_l, c_r
 
 
 def asof_join(
@@ -189,7 +187,6 @@ def asof_join(
     allow_exact_matches: bool = True,
     direction: str = "backward",
     matched_prefix: str = "matched_",
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
     keep_unmatched: bool = True,
     tolerance_s: Optional[float] = None,
 ) -> "ray.data.Dataset":
@@ -333,7 +330,7 @@ def asof_join(
             out = out.filter(vmask)
         return out
 
-    return map_partitions_by_key(lds.union(rds), "__k", _merge, num_partitions)
+    return map_partitions_by_key(lds.union(rds), "__k", _merge)
 
 
 def range_join(
@@ -346,7 +343,6 @@ def range_join(
     lower_s: float = 0.0,
     upper_s: float = 0.0,
     matched_prefix: str = "matched_",
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
 ) -> "ray.data.Dataset":
     """Temporal range (interval) join: for every right row at time t,
     emit one output row per left row of the same key with
@@ -432,7 +428,7 @@ def range_join(
             cols[f"{matched_prefix}{n}"] = src.take(l_take)
         return pa.table(cols)
 
-    return map_partitions_by_key(lds.union(rds), "__k", _merge, num_partitions)
+    return map_partitions_by_key(lds.union(rds), "__k", _merge)
 
 
 def asof_lastk_join(
@@ -447,7 +443,6 @@ def asof_lastk_join(
     right_on: Optional[str] = None,
     allow_exact_matches: bool = False,
     out_prefix: str = "last",
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
 ) -> "ray.data.Dataset":
     """LAST-K history join: attach to every right row the k most recent
     left VALUES before its time (strictly before by default), same key —
@@ -560,4 +555,4 @@ def asof_lastk_join(
         out_cols[f"n_{out_prefix}"] = pa.array(n_hist, pa.int64())
         return pa.table(out_cols)
 
-    return map_partitions_by_key(lds.union(rds), "__k", _merge, num_partitions)
+    return map_partitions_by_key(lds.union(rds), "__k", _merge)

@@ -34,6 +34,7 @@ import ray.data
 from multimedia_indexing_ray.functions import segments as sg
 from multimedia_indexing_ray.stages.partition import (
     DRIVER_EDGES,
+    cluster_cpus,
     fits,
     gather,
     map_partitions_by_key,
@@ -132,7 +133,7 @@ def _fingerprint(edges: "ray.data.Dataset") -> tuple:
     return (n, s)
 
 
-def _compact(ds: "ray.data.Dataset", num_partitions: int) -> "ray.data.Dataset":
+def _compact(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     """Bound and densify the block structure of a slim iteration input.
 
     Ray 2.49's sort scheduler can DEADLOCK when an iterative union+sort
@@ -140,13 +141,14 @@ def _compact(ds: "ray.data.Dataset", num_partitions: int) -> "ray.data.Dataset":
     pair set with a handful of non-empty blocks hangs the per-round
     keyed exchanges of kcore forever, while the same edges compacted to
     a few dense blocks finish in seconds).  Every distributed graph
-    kernel compacts its edge set ONCE before iterating; the cost is one
-    small repartition of the slim (u, v) int64 set.  Per-round state
-    that is unioned back into the next round (pagerank scores, label
-    propagation labels, kcore's alive set) is compacted every round:
-    the sort exchange emits one block per input block, so without it
-    the block count, and each round's task count, grows every round."""
-    return ds.repartition(num_partitions).materialize()
+    kernel compacts its edge set ONCE before iterating, to one block per
+    CPU of the cluster; the cost is one small repartition of the slim
+    (u, v) int64 set.  Per-round state that is unioned back into the
+    next round (pagerank scores, label propagation labels, kcore's alive
+    set) is compacted every round: the sort exchange emits one block per
+    input block, so without it the block count, and each round's task
+    count, grows every round."""
+    return ds.repartition(cluster_cpus()).materialize()
 
 
 def _local_cc(table: pa.Table, max_rounds: int) -> pa.Table:
@@ -168,7 +170,6 @@ def connected_components(
     pairs: "ray.data.Dataset",
     a_col: str = "a_id",
     b_col: str = "b_id",
-    num_partitions: int = 8,
     max_rounds: int = 30,
 ) -> "ray.data.Dataset":
     """Star edges ``(u, root)`` for every non-root node of every
@@ -203,20 +204,18 @@ def connected_components(
         ).combine_chunks()
         return ray.data.from_arrow(_local_cc(local, max_rounds))
 
-    edges = _compact(edges, num_partitions)
+    edges = _compact(edges)
     prev = None
     for _ in range(max_rounds):
         edges = map_partitions_by_key(
             edges.map_batches(_symmetrize, batch_format="pyarrow"),
             "u",
             _large_star,
-            num_partitions=num_partitions,
         )
         edges = map_partitions_by_key(
             edges.map_batches(_orient_max, batch_format="pyarrow"),
             "u",
             _small_star,
-            num_partitions=num_partitions,
         ).materialize()
         fp = _fingerprint(edges)
         if fp == prev:
@@ -234,8 +233,6 @@ def resolve_clusters(
     pairs: "ray.data.Dataset",
     a_col: str = "a_id",
     b_col: str = "b_id",
-    num_partitions: int = 16,
-    cc_partitions: int = 8,
 ) -> "ray.data.Dataset":
     """Every doc -> (doc_id, cluster_id, is_canonical): cluster_id is the
     min doc id of its near-dup component (itself for singletons) and the
@@ -243,9 +240,7 @@ def resolve_clusters(
     over the corpus ids (coalesced into one block when the corpus is
     small — the keyed exchange's fixed sort cost dominates then); the
     CC iteration touches only the pair set."""
-    stars = connected_components(
-        pairs, a_col=a_col, b_col=b_col, num_partitions=cc_partitions
-    )
+    stars = connected_components(pairs, a_col=a_col, b_col=b_col)
 
     def _self_edges(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -277,7 +272,7 @@ def resolve_clusters(
 
     if fits(both.count(), DRIVER_EDGES):
         return gather(both, _min_label)
-    return map_partitions_by_key(both, "u", _min_label, num_partitions=num_partitions)
+    return map_partitions_by_key(both, "u", _min_label)
 
 
 def resolve_clusters_best(
@@ -287,8 +282,6 @@ def resolve_clusters_best(
     pairs: "ray.data.Dataset",
     a_col: str = "a_id",
     b_col: str = "b_id",
-    num_partitions: int = 16,
-    cc_partitions: int = 8,
 ) -> "ray.data.Dataset":
     """Quality-weighted cluster resolution: the canonical survivor of
     each near-dup cluster is the HIGHEST-``score_col`` member (min
@@ -299,9 +292,7 @@ def resolve_clusters_best(
     star edges, grouped by node to attach cluster ids (the score rides
     the self-row); (2) (doc, cluster, score) grouped by cluster for the
     per-cluster argmax.  Vectors/text never cross either."""
-    stars = connected_components(
-        pairs, a_col=a_col, b_col=b_col, num_partitions=cc_partitions
-    )
+    stars = connected_components(pairs, a_col=a_col, b_col=b_col)
     # scores stay float64 so float quality scores (classifier outputs in
     # [0,1]) and negative scores survive; -inf marks the score-less star
     # rows and loses every max
@@ -369,10 +360,8 @@ def resolve_clusters_best(
     both = both.materialize()
     if fits(both.count(), DRIVER_EDGES):
         return gather(both, lambda t: _argmax(_attach(t)))
-    assigned = map_partitions_by_key(both, "u", _attach, num_partitions=num_partitions)
-    return map_partitions_by_key(
-        assigned, "cluster_id", _argmax, num_partitions=num_partitions
-    )
+    assigned = map_partitions_by_key(both, "u", _attach)
+    return map_partitions_by_key(assigned, "cluster_id", _argmax)
 
 
 def pagerank(
@@ -383,7 +372,6 @@ def pagerank(
     total: int = 10**12,
     damping_num: int = 85,
     damping_den: int = 100,
-    num_partitions: int = 8,
 ) -> "ray.data.Dataset":
     """Integer-quantized PageRank over a symmetrized pair graph
     (Brin & Page 1998): centrality scoring of near-duplicate / citation
@@ -465,17 +453,13 @@ def pagerank(
             table["v"].to_numpy(zero_copy_only=False),
         )
 
-    edges = map_partitions_by_key(
-        _compact(edges, num_partitions), "u", _dedup_group, num_partitions=num_partitions
-    ).materialize()
+    edges = map_partitions_by_key(_compact(edges), "u", _dedup_group).materialize()
 
     def _count_nodes(table: pa.Table) -> pa.Table:
         u = table["u"].to_numpy(zero_copy_only=False)
         return pa.table({"n": pa.array([len(np.unique(u))], pa.int64())})
 
-    node_parts = map_partitions_by_key(
-        edges, "u", _count_nodes, num_partitions=num_partitions
-    ).take_all()
+    node_parts = map_partitions_by_key(edges, "u", _count_nodes).take_all()
     n = int(sum(r["n"] for r in node_parts))
     init = total // n
     base = (damping_den - damping_num) * init // damping_den
@@ -488,9 +472,7 @@ def pagerank(
             {"u": u, "m": np.full(len(u), init, dtype=np.int64)}, schema=_SCORE_SCHEMA
         )
 
-    scores = map_partitions_by_key(
-        edges, "u", _init_scores, num_partitions=num_partitions
-    ).materialize()
+    scores = map_partitions_by_key(edges, "u", _init_scores).materialize()
 
     _CONTRIB_SCHEMA = pa.schema([("u", pa.int64()), ("c", pa.int64())])
 
@@ -549,12 +531,8 @@ def pagerank(
     edge_tagged = edges.map_batches(_edge_rows, batch_format="pyarrow").materialize()
     for _ in range(rounds):
         mixed = edge_tagged.union(scores.map_batches(_score_rows, batch_format="pyarrow"))
-        contribs = map_partitions_by_key(
-            mixed, "u", _scatter, num_partitions=num_partitions
-        )
-        scores = _compact(map_partitions_by_key(
-            contribs, "u", _gather, num_partitions=num_partitions
-        ), num_partitions)
+        contribs = map_partitions_by_key(mixed, "u", _scatter)
+        scores = _compact(map_partitions_by_key(contribs, "u", _gather))
 
     def _decorate(table: pa.Table) -> pa.Table:
         # final deg attach: group edges+scores once more
@@ -581,9 +559,7 @@ def pagerank(
         )
 
     mixed = edge_tagged.union(scores.map_batches(_score_rows, batch_format="pyarrow"))
-    return map_partitions_by_key(
-        mixed, "u", _decorate, num_partitions=num_partitions
-    )
+    return map_partitions_by_key(mixed, "u", _decorate)
 
 
 def _mode_labels(tgt: np.ndarray, lbl: np.ndarray):
@@ -608,7 +584,6 @@ def label_propagation(
     a_col: str = "a_id",
     b_col: str = "b_id",
     rounds: int = 4,
-    num_partitions: int = 8,
 ) -> "ray.data.Dataset":
     """Synchronous label propagation (Raghavan, Albert & Kumara 2007)
     over the symmetrized near-dup pair graph — COMMUNITY detection, the
@@ -682,9 +657,7 @@ def label_propagation(
             table["v"].to_numpy(zero_copy_only=False),
         )
 
-    edges = map_partitions_by_key(
-        _compact(edges, num_partitions), "u", _dedup_group, num_partitions=num_partitions
-    ).materialize()
+    edges = map_partitions_by_key(_compact(edges), "u", _dedup_group).materialize()
 
     _LBL_SCHEMA = pa.schema([("u", pa.int64()), ("lbl", pa.int64())])
     _MIXED_SCHEMA = pa.schema(
@@ -695,9 +668,7 @@ def label_propagation(
         u = np.unique(table["u"].to_numpy(zero_copy_only=False))
         return pa.table({"u": u, "lbl": u}, schema=_LBL_SCHEMA)
 
-    labels = map_partitions_by_key(
-        edges, "u", _init_labels, num_partitions=num_partitions
-    ).materialize()
+    labels = map_partitions_by_key(edges, "u", _init_labels).materialize()
 
     def _edge_rows(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -748,12 +719,8 @@ def label_propagation(
     edge_tagged = edges.map_batches(_edge_rows, batch_format="pyarrow").materialize()
     for _ in range(rounds):
         mixed = edge_tagged.union(labels.map_batches(_label_rows, batch_format="pyarrow"))
-        msgs = map_partitions_by_key(
-            mixed, "u", _scatter, num_partitions=num_partitions
-        )
-        labels = _compact(map_partitions_by_key(
-            msgs, "u", _gather, num_partitions=num_partitions
-        ), num_partitions)
+        msgs = map_partitions_by_key(mixed, "u", _scatter)
+        labels = _compact(map_partitions_by_key(msgs, "u", _gather))
 
     def _finish(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -826,7 +793,6 @@ def triangle_counts(
     pairs: "ray.data.Dataset",
     a_col: str = "a_id",
     b_col: str = "b_id",
-    num_partitions: int = 8,
     wedge_cap: int = 4096,
 ) -> "ray.data.Dataset":
     """Per-node triangle participation counts over the (deduplicated,
@@ -885,7 +851,7 @@ def triangle_counts(
             pa.table({"doc_id": ids, "n_triangles": cnt.astype(np.int64)}, schema=out_schema)
         )
 
-    edges = _compact(edges, num_partitions)
+    edges = _compact(edges)
 
     _W_SCHEMA = pa.schema(
         [("u", pa.int64()), ("v", pa.int64()), ("apex", pa.int64())]
@@ -905,9 +871,7 @@ def triangle_counts(
         apex, w1, w2 = _ordered_wedges(u, v, wedge_cap)
         return pa.table({"u": w1, "v": w2, "apex": apex}, schema=_W_SCHEMA)
 
-    wedges = map_partitions_by_key(
-        edges, "u", _emit_wedges, num_partitions=num_partitions
-    )
+    wedges = map_partitions_by_key(edges, "u", _emit_wedges)
 
     def _edge_tag(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -938,9 +902,7 @@ def triangle_counts(
         ids, cnt = np.unique(nodes, return_counts=True)
         return pa.table({"doc_id": ids, "n": cnt.astype(np.int64)}, schema=_N_SCHEMA)
 
-    partial = map_partitions_by_key(
-        mixed, "u", _close, num_partitions=num_partitions
-    )
+    partial = map_partitions_by_key(mixed, "u", _close)
 
     def _reduce(table: pa.Table) -> pa.Table:
         ids = table["doc_id"].to_numpy(zero_copy_only=False)
@@ -950,9 +912,7 @@ def triangle_counts(
         np.add.at(s, inv, nn)
         return pa.table({"doc_id": u_ids, "n_triangles": s}, schema=out_schema)
 
-    return map_partitions_by_key(
-        partial, "doc_id", _reduce, num_partitions=num_partitions
-    )
+    return map_partitions_by_key(partial, "doc_id", _reduce)
 
 
 def kcore(
@@ -961,7 +921,6 @@ def kcore(
     b_col: str = "b_id",
     k: int = 2,
     rounds: int = 5,
-    num_partitions: int = 8,
 ) -> "ray.data.Dataset":
     """R-round k-core peeling over a symmetrized pair graph (Seidman
     1983): iteratively drop nodes with degree < k in the surviving
@@ -1032,8 +991,7 @@ def kcore(
         )
 
     edges = map_partitions_by_key(
-        _compact(edges, num_partitions), "u", _dedup_group,
-        num_partitions=num_partitions,
+        _compact(edges), "u", _dedup_group,
     ).materialize()
 
     _ALIVE_SCHEMA = pa.schema([("u", pa.int64()), ("side", pa.int64())])
@@ -1044,9 +1002,7 @@ def kcore(
             {"u": u, "side": np.zeros(len(u), dtype=np.int64)}, schema=_ALIVE_SCHEMA
         )
 
-    alive = map_partitions_by_key(
-        edges, "u", _all_nodes, num_partitions=num_partitions
-    ).materialize()
+    alive = map_partitions_by_key(edges, "u", _all_nodes).materialize()
 
     def _semi(edge_tbl: "ray.data.Dataset", col: str) -> "ray.data.Dataset":
         # union edges (side=1 rows) with alive markers (side=0) keyed on
@@ -1087,7 +1043,7 @@ def kcore(
                 }
             )
 
-        return map_partitions_by_key(both, "key", _filter, num_partitions=num_partitions)
+        return map_partitions_by_key(both, "key", _filter)
 
     def _deg_alive(table: pa.Table) -> pa.Table:
         u = table["u"].to_numpy(zero_copy_only=False)
@@ -1103,9 +1059,7 @@ def kcore(
 
     for _ in range(rounds):
         live_edges = _semi(_semi(edges, "u"), "v")
-        alive = _compact(map_partitions_by_key(
-            live_edges, "u", _deg_alive, num_partitions=num_partitions
-        ), num_partitions)
+        alive = _compact(map_partitions_by_key(live_edges, "u", _deg_alive))
 
     final_edges = _semi(_semi(edges, "u"), "v")
 
@@ -1120,6 +1074,4 @@ def kcore(
             schema=out_schema,
         )
 
-    return map_partitions_by_key(
-        final_edges, "u", _final_deg, num_partitions=num_partitions
-    )
+    return map_partitions_by_key(final_edges, "u", _final_deg)

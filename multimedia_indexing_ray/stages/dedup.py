@@ -28,12 +28,10 @@ from multimedia_indexing_ray.functions import text as tx
 from multimedia_indexing_ray.stages.knn import _batch_matrix, _unit
 from multimedia_indexing_ray.stages.partition import (
     BROADCAST_IDS,
-    DEFAULT_NUM_PARTITIONS,
     PAIR_COALESCE_ROWS,
     fits,
     gather,
     map_partitions_by_key,
-    stable_hash,
 )
 
 logger = logging.getLogger(__name__)
@@ -103,7 +101,6 @@ def exact_dedup_stats(
     ds: "ray.data.Dataset",
     text_col: str,
     id_col: str,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
 ) -> "ray.data.Dataset":
     """Per distinct text: MIN(id) and copy count.  Hash-partition
     directly on the text (the partitioner stable-hashes key values — no
@@ -121,25 +118,18 @@ def exact_dedup_stats(
             }
         )
 
-    return map_partitions_by_key(ds, text_col, kernel, num_partitions)
+    return map_partitions_by_key(ds, text_col, kernel)
 
 
 def dedup_by_key(
     ds: "ray.data.Dataset",
     keys: Sequence[str],
     order_by: Sequence[str],
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
 ) -> "ray.data.Dataset":
     """Keep the FIRST row per key group under `order_by` — the idempotent
     ingest gate (FIXTURES.md T3: first-by-ts wins on duplicated
     (conv_id, turn_idx))."""
     keys = list(keys)
-
-    def _add_gkey(batch: pa.Table) -> pa.Table:
-        h = np.zeros(batch.num_rows, dtype=np.uint64)
-        for k in keys:
-            h = h * np.uint64(1000003) ^ stable_hash(batch[k].to_numpy(zero_copy_only=False))
-        return batch.append_column("__gkey", pa.array(h.astype(np.int64)))
 
     def kernel(table: pa.Table) -> pa.Table:
         sort_keys = [(k, "ascending") for k in [*keys, *order_by]]
@@ -150,9 +140,9 @@ def dedup_by_key(
             change[0] = True
             for arr in df_keys:
                 change[1:] |= arr[1:] != arr[:-1]
-        return t.filter(pa.array(change)).drop_columns(["__gkey"])
+        return t.filter(pa.array(change))
 
-    return map_partitions_by_key(ds.map_batches(_add_gkey, batch_format="pyarrow"), "__gkey", kernel, num_partitions)
+    return map_partitions_by_key(ds, keys, kernel)
 
 
 class MinHashSketcher:
@@ -229,9 +219,7 @@ def _first_per_pair_block(batch: pa.Table, value_col: str) -> pa.Table:
     return t.filter(pa.array(first))
 
 
-def _dedup_pairs(
-    pairs: "ray.data.Dataset", value_col: str, num_partitions: int
-) -> "ray.data.Dataset":
+def _dedup_pairs(pairs: "ray.data.Dataset", value_col: str) -> "ray.data.Dataset":
     """Cross-band/bucket pair dedup (first row per (a_id, b_id) ordered
     by value_col).  Candidate sets are normally tiny relative to the
     corpus and a keyed exchange costs ~1-2s of fixed sort overhead, so
@@ -240,7 +228,7 @@ def _dedup_pairs(
     pairs = pairs.materialize()
     if fits(pairs.count(), PAIR_COALESCE_ROWS):
         return gather(pairs, lambda b: _first_per_pair_block(b, value_col))
-    return dedup_by_key(pairs, ["a_id", "b_id"], [value_col], num_partitions)
+    return dedup_by_key(pairs, ["a_id", "b_id"], [value_col])
 
 
 def minhash_lsh_pairs(
@@ -251,7 +239,6 @@ def minhash_lsh_pairs(
     bands: int = 16,
     shingle_k: int = 3,
     threshold: float = 0.8,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
     concurrency: int = 4,
     bucket_cap: int = DEFAULT_BUCKET_CAP,
 ) -> "ray.data.Dataset":
@@ -265,12 +252,6 @@ def minhash_lsh_pairs(
         batch_format="pyarrow",
         concurrency=concurrency,
     )
-
-    def _bucket_key(batch: pa.Table) -> pa.Table:
-        h = stable_hash(batch["band_id"].to_numpy()) * np.uint64(31) ^ stable_hash(
-            batch["band_hash"].to_numpy()
-        )
-        return batch.append_column("__bkey", pa.array(h.astype(np.int64)))
 
     def kernel(table: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -326,11 +307,9 @@ def minhash_lsh_pairs(
             }
         )
 
-    pairs = map_partitions_by_key(
-        exploded.map_batches(_bucket_key, batch_format="pyarrow"), "__bkey", kernel, num_partitions
-    )
+    pairs = map_partitions_by_key(exploded, ["band_id", "band_hash"], kernel)
     # same pair can surface from multiple bands -> exact dedup on the pair
-    return _dedup_pairs(pairs, "est_jaccard", num_partitions)
+    return _dedup_pairs(pairs, "est_jaccard")
 
 
 def exact_jaccard_verify(
@@ -340,7 +319,6 @@ def exact_jaccard_verify(
     id_col: str,
     shingle_k: int = 3,
     threshold: float = 0.8,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
 ) -> "ray.data.Dataset":
     """EXACT-Jaccard verification of candidate pairs (a_id, b_id) against
     the corpus — the standard second stage after MinHash-LSH candidate
@@ -530,13 +508,7 @@ def exact_jaccard_verify(
             }
         )
 
-    attached = map_partitions_by_key(union1, "doc", _attach, num_partitions)
-
-    def _pair_key(batch: pa.Table) -> pa.Table:
-        h = stable_hash(batch["pa_id"].to_numpy()) * np.uint64(1000003) ^ stable_hash(
-            batch["pb_id"].to_numpy()
-        )
-        return batch.append_column("__pkey", pa.array(h.astype(np.int64)))
+    attached = map_partitions_by_key(union1, "doc", _attach)
 
     def _verify(table: pa.Table) -> pa.Table:
         empty = pa.table(
@@ -589,12 +561,7 @@ def exact_jaccard_verify(
             }
         )
 
-    return map_partitions_by_key(
-        attached.map_batches(_pair_key, batch_format="pyarrow"),
-        "__pkey",
-        _verify,
-        num_partitions,
-    )
+    return map_partitions_by_key(attached, ["pa_id", "pb_id"], _verify)
 
 
 class SimHasher:
@@ -624,7 +591,6 @@ def simhash_pairs(
     text_col: str,
     id_col: str,
     max_hamming: int = 3,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
     bucket_cap: int = DEFAULT_BUCKET_CAP,
 ) -> "ray.data.Dataset":
     """Near-dup pairs by SimHash: band on 4x16-bit chunks (any pair within
@@ -704,9 +670,9 @@ def simhash_pairs(
         )
 
     pairs = map_partitions_by_key(
-        sims.map_batches(_explode, batch_format="pyarrow"), "bucket", kernel, num_partitions
+        sims.map_batches(_explode, batch_format="pyarrow"), "bucket", kernel
     )
-    return _dedup_pairs(pairs, "hamming", num_partitions)
+    return _dedup_pairs(pairs, "hamming")
 
 
 class ShingleMultiAnchor:
@@ -887,7 +853,6 @@ def anchor_jaccard_pairs(
     id_col: str,
     shingle_k: int = 3,
     threshold: float = 0.3,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
     concurrency: int = 4,
     bucket_cap: "int | None" = None,
     coalesce: bool = False,
@@ -935,7 +900,7 @@ def anchor_jaccard_pairs(
         if not tables:
             return _rd.from_arrow(empty)
         return _rd.from_arrow(kernel(pa.concat_tables(tables)))
-    return map_partitions_by_key(sk, "anchor", kernel, num_partitions)
+    return map_partitions_by_key(sk, "anchor", kernel)
 
 
 def anchor_containment_pairs(
@@ -944,7 +909,6 @@ def anchor_containment_pairs(
     id_col: str,
     shingle_k: int = 3,
     threshold: float = 0.8,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
     concurrency: int = 4,
     n_anchors: int = 2,
     bucket_cap: "int | None" = None,
@@ -1000,8 +964,8 @@ def anchor_containment_pairs(
             return _rd.from_arrow(empty)
         # in-process first-per-(a,b): same tie rule as _dedup_pairs
         return _rd.from_arrow(_first_per_pair_block(raw, "containment"))
-    pairs = map_partitions_by_key(sk, "anchor", kernel, num_partitions)
-    return _dedup_pairs(pairs, "containment", num_partitions)
+    pairs = map_partitions_by_key(sk, "anchor", kernel)
+    return _dedup_pairs(pairs, "containment")
 
 
 class TextAnchor:
@@ -1051,7 +1015,6 @@ def anchor_editdist_pairs(
     id_col: str,
     shingle_k: int = 3,
     max_dist: int = 16,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
     concurrency: int = 4,
     coalesce: bool = False,
 ) -> "ray.data.Dataset":
@@ -1184,7 +1147,7 @@ def anchor_editdist_pairs(
                 )
             )
         return _rd.from_arrow(kernel(pa.concat_tables(tables)))
-    return map_partitions_by_key(ank, "anchor", kernel, num_partitions)
+    return map_partitions_by_key(ank, "anchor", kernel)
 
 
 def embedding_neardup_pairs(
@@ -1193,7 +1156,6 @@ def embedding_neardup_pairs(
     id_col: str,
     block_col: str,
     threshold: float = 0.95,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
 ) -> "ray.data.Dataset":
     """Near-duplicate pairs by embedding cosine within a blocking key
     (e.g. label or LSH bucket): all-pairs cosine per block, vectorized."""
@@ -1224,7 +1186,7 @@ def embedding_neardup_pairs(
         b = np.concatenate(b_out) if b_out else np.empty(0, np.int64)
         return pa.table({"a_id": pa.array(a, pa.int64()), "b_id": pa.array(b, pa.int64())})
 
-    return map_partitions_by_key(ds, block_col, kernel, num_partitions)
+    return map_partitions_by_key(ds, block_col, kernel)
 
 
 class SrpBander:
@@ -1271,7 +1233,6 @@ def embedding_neardup_lsh(
     n_bands: int = 4,
     bits_per_band: int = 4,
     seed: int = 1,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
     concurrency: int = 4,
     bucket_cap: int = DEFAULT_BUCKET_CAP,
 ) -> "ray.data.Dataset":
@@ -1334,5 +1295,5 @@ def embedding_neardup_lsh(
             }
         )
 
-    pairs = map_partitions_by_key(banded, "bucket", kernel, num_partitions)
-    return _dedup_pairs(pairs, "cos_sim", num_partitions)
+    pairs = map_partitions_by_key(banded, "bucket", kernel)
+    return _dedup_pairs(pairs, "cos_sim")

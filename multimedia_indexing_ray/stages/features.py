@@ -7,7 +7,7 @@ Pipeline shape (SURVEY.md §7.1; FolderIndexingMT.java:48-168 Ray analog):
          per-turn scalars and DROPS the heavy text column before the
          shuffle — column pruning at the exchange)
       -> exchange_by_key(conv_id)  [the one mandatory shuffle]
-      -> WindowKernelFn (sort within partition by (conv_id, ts, turn_idx),
+      -> WindowKernelFn (sort each reduce block by (conv_id, ts, turn_idx),
          run the vectorized window/session/lag kernel)
 
 The output has one row per input turn: keys (conv_id, turn_idx, ts),
@@ -29,10 +29,7 @@ from multimedia_indexing_ray.functions.turns import base_turn_features
 from multimedia_indexing_ray.functions.window_kernel import compute_window_features
 from multimedia_indexing_ray.specs import DEFAULT_SPECS, FeatureSpecs
 from multimedia_indexing_ray.stages.hotkeys import CHUNK_COL, EMIT_COL
-from multimedia_indexing_ray.stages.partition import (
-    DEFAULT_NUM_PARTITIONS,
-    exchange_by_key,
-)
+from multimedia_indexing_ray.stages.partition import exchange_by_key
 
 SORT_KEYS = [("conv_id", "ascending"), ("ts", "ascending"), ("turn_idx", "ascending")]
 BASE_PRE_COLS = (
@@ -80,7 +77,7 @@ def prefeaturize(batch: pa.Table, include_text: bool = False) -> pa.Table:
 
 
 class WindowKernelFn:
-    """Per-partition window kernel (stateless; spec registry compiled once).
+    """Per-block window kernel (stateless; spec registry compiled once).
 
     The spec registry is the codebook analog — loaded once per worker
     (`visual/vectorization/ImageVectorizer.java:101-112`), applied per
@@ -174,7 +171,6 @@ class WindowKernelFn:
 def compute_features(
     ds: "ray.data.Dataset",
     specs: FeatureSpecs = DEFAULT_SPECS,
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
     include_text: bool = False,
     pack_vector: bool = False,
     split_hot: bool = False,
@@ -186,7 +182,7 @@ def compute_features(
 
     split_hot=True enables salted-key skew splitting: conversations over
     `hot_threshold` rows are chunked at safe gaps (see stages/hotkeys.py)
-    so no partition group is dominated by one conversation; output is
+    so no kernel call is dominated by one conversation; output is
     bit-identical to the unsplit pipeline (tested).  ``split_plan``: a
     precomputed SplitPlan for this input (the plan is input-keyed state —
     build once, reuse across the flagship and serving runs instead of
@@ -208,7 +204,7 @@ def compute_features(
         if not plan.empty:
             pre = assign_chunks(pre, plan)
             part_key = ["conv_id", CHUNK_COL]
-    return exchange_by_key(pre, part_key, kernel, num_partitions=num_partitions)
+    return exchange_by_key(pre, part_key, kernel)
 
 
 def normalize_feature_blocks(

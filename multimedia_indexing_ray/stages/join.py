@@ -10,9 +10,10 @@ Here:
   DistributedCache-artifact pattern, `visual/mapreduce/VisualJob.java:56-62`).
 - ``hash_join``: both sides tagged and unioned into one
   `map_partitions_by_key` stage on the key hash (one task under
-  `LOCAL_BYTES`, else B hash buckets), each group joined with pyarrow's
-  vectorized hash join.  Skew note: bucket count is the salting knob —
-  hot keys should be pre-split upstream (see stages/hotkeys.py).
+  `LOCAL_BYTES`, else the sort exchange), each group joined with
+  pyarrow's vectorized hash join.  Skew note: a hot key's rows all reach
+  one call — hot keys should be pre-split upstream (see
+  stages/hotkeys.py).
 """
 
 from __future__ import annotations
@@ -26,11 +27,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from multimedia_indexing_ray.stages.partition import (
-    DEFAULT_NUM_PARTITIONS,
-    map_partitions_by_key,
-    stable_hash,
-)
+from multimedia_indexing_ray.stages.partition import key_hash, map_partitions_by_key
 
 SIDE_COL = "__side"
 HASH_COL = "__keyhash"
@@ -72,10 +69,9 @@ def hash_join(
     left_on: Union[str, Sequence[str]],
     right_on: Union[str, Sequence[str], None] = None,
     join_type: str = "inner",
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
 ) -> "ray.data.Dataset":
-    """Bucketed hash join: co-partition both sides on the join key, join
-    bucket-by-bucket with pyarrow.  Payload column names (non-key) must be
+    """Hash join: co-locate both sides on the join key's hash, join each
+    group of whole keys with pyarrow.  Payload column names (non-key) must be
     disjoint between the sides."""
     left_on = [left_on] if isinstance(left_on, str) else list(left_on)
     right_on = (
@@ -110,11 +106,7 @@ def hash_join(
                 else:
                     cols[f.name] = pa.nulls(n, f.type)
             cols[SIDE_COL] = pa.array(np.full(n, side, dtype=np.int8))
-            h = np.zeros(n, dtype=np.uint64)
-            for k in key_cols:
-                vals = batch[k].to_numpy(zero_copy_only=False)
-                h = h * np.uint64(1000003) ^ stable_hash(vals)
-            cols[HASH_COL] = pa.array(h)
+            cols[HASH_COL] = pa.array(key_hash(batch, key_cols))
             return pa.table(cols)
 
         return _fn
@@ -127,7 +119,7 @@ def hash_join(
         rt = table.filter(pc.equal(table[SIDE_COL], 1)).select(r_names)
         return lt.join(rt, keys=left_on, right_keys=right_on, join_type=join_type)
 
-    return map_partitions_by_key(lds.union(rds), HASH_COL, _merge, num_partitions)
+    return map_partitions_by_key(lds.union(rds), HASH_COL, _merge)
 
 
 def build_bloom(

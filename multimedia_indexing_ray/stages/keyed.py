@@ -2,7 +2,7 @@
 
 The transcript feature engine (stages/features.py) is specialised to the
 transcript schema; `keyed_scan` is the same plan for an arbitrary keyed
-table: one keyed exchange, then each partition group sorted by
+table: one keyed exchange, then each group of whole keys sorted by
 ``(key, *order)`` and handed to a vectorized numpy body together with
 the row index where each key's run starts (SURVEY.md §2.5 A1
 "sort-within-partition + vectorized segmented reduction" mapping).  The
@@ -22,10 +22,7 @@ import pyarrow as pa
 import ray.data
 
 from multimedia_indexing_ray.functions import segments as sg
-from multimedia_indexing_ray.stages.partition import (
-    DEFAULT_NUM_PARTITIONS,
-    map_partitions_by_key,
-)
+from multimedia_indexing_ray.stages.partition import map_partitions_by_key
 
 
 def keyed_scan(
@@ -33,9 +30,8 @@ def keyed_scan(
     key: str,
     order: Sequence[str],
     body: Callable[[pa.Table, np.ndarray], pa.Table],
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
 ) -> "ray.data.Dataset":
-    """Exchange `ds` on `key`, sort each partition group by
+    """Exchange `ds` on `key`, sort each group of whole keys by
     ``(key, *order)`` and return ``body(t, starts)`` per group.
 
     `t` is the sorted, non-empty group; `starts` holds the first row of
@@ -49,7 +45,7 @@ def keyed_scan(
         t = table.sort_by(sort_keys)
         return body(t, sg.segment_starts(t[key].to_numpy()))
 
-    return map_partitions_by_key(ds, key, kernel, num_partitions)
+    return map_partitions_by_key(ds, key, kernel)
 
 
 def trailing_window(

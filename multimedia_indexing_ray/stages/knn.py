@@ -20,9 +20,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
+
+from multimedia_indexing_ray.functions import segments as sg
+from multimedia_indexing_ray.stages.keyed import keyed_scan
 
 
 def _unit(mat: np.ndarray) -> np.ndarray:
@@ -111,24 +115,31 @@ def topk_merge(
 ) -> "ray.data.Dataset":
     """Tiny global merge of per-batch partial top-k candidates into the
     final (query_id, neighbor_id, rank) — the BoundedPriorityQueue drain
-    (`visual/utilities/Answer.java:8-60`).  Arrow-native: a pandas
-    map_groups here would attach unhashable pandas schema metadata that
-    defeats Ray's schema dedup on every later exchange."""
+    (`visual/utilities/Answer.java:8-60`): one `keyed_scan` on query_id
+    ordered by score, then neighbor_id (the per-batch partials' tie
+    rule), keeping each query's first k rows."""
 
-    def _final(t: pa.Table) -> pa.Table:
-        s = t[score_col].to_numpy()
-        nid = t["neighbor_id"].to_numpy()
-        # same tie rule as the per-batch partials: score, then neighbor_id
-        order = np.lexsort((nid, s if ascending else -s))[:k]
+    def _order(batch: pa.Table) -> pa.Table:
+        s = batch[score_col]
+        return batch.append_column("__s", s if ascending else pc.negate(s))
+
+    def _first_k(t: pa.Table, starts: np.ndarray) -> pa.Table:
+        pos = sg.rel_index(starts, t.num_rows)
+        keep = pos < k
         return pa.table(
             {
-                "query_id": t["query_id"].take(pa.array(order)).combine_chunks(),
-                "neighbor_id": pa.array(nid[order], pa.int64()),
-                "rank": pa.array(np.arange(1, len(order) + 1, dtype=np.int64)),
+                "query_id": t["query_id"].to_numpy()[keep],
+                "neighbor_id": t["neighbor_id"].to_numpy()[keep],
+                "rank": pos[keep] + 1,
             }
         )
 
-    return candidates.groupby("query_id").map_groups(_final, batch_format="pyarrow")
+    return keyed_scan(
+        candidates.map_batches(_order, batch_format="pyarrow"),
+        "query_id",
+        ["__s", "neighbor_id"],
+        _first_k,
+    )
 
 
 def brute_force_knn(

@@ -975,7 +975,6 @@ class MediaPHasher:
 def media_phash_pairs(
     ds: "ray.data.Dataset",
     concurrency: int = 4,
-    num_partitions: int = 8,
     bucket_cap: int = 64,
 ) -> "ray.data.Dataset":
     """Image near-dup pairs by EXACT perceptual-hash match: actor-pool
@@ -1031,4 +1030,4 @@ def media_phash_pairs(
             }
         )
 
-    return map_partitions_by_key(hashes, "phash", _pairs, num_partitions=num_partitions)
+    return map_partitions_by_key(hashes, "phash", _pairs)

@@ -3,17 +3,19 @@
 The reference routes vectors to inverted lists via nearest-coarse-centroid
 assignment (`visual/datastructures/IVFPQ.java:315,547-601`) — its
 partitioner.  Here the partitioner is a stable hash of the entity key
-(``conv_id``) into ``num_partitions`` buckets; every downstream window /
-session / as-of kernel relies on the invariant that ALL rows of a key
-land in the same partition group.
+(``conv_id``, or any key columns); every downstream window / session /
+as-of kernel relies on the invariant that ALL rows of a key reach the
+same kernel call.
 
 Hashing uses ``pandas.util.hash_array`` (SipHash-1-3 with a fixed key) —
-stable across processes, platforms and runs, so partition assignment (and
-therefore checkpoint manifests) are reproducible.
+stable across processes, platforms and runs, so bucket assignment (and
+therefore the checkpoint runner's manifests) is reproducible.
 
-`exchange_by_key` is Ray Data's sort-based pull shuffle,
-``groupby(part).map_groups``: no extra actors, and each partition group
-reaches its kernel as one Arrow table.  The transcript engine
+`exchange_by_key` sorts on the key hash with Ray Data's sort (the
+exchange ``groupby().map_groups`` runs) and calls the kernel once per
+non-empty sorted block: equal hashes land in one reduce block, so each
+call holds whole keys, and the input's block count, not a bucket-count
+argument, sets how many calls there are.  The transcript engine
 (`stages/features.py`) always takes it.  `map_partitions_by_key` is the
 generic keyed stage: it materializes its input and, when the input fits
 `LOCAL_BYTES`, calls the kernel once on the whole table in one task,
@@ -39,10 +41,14 @@ import ray.data
 logger = logging.getLogger(__name__)
 
 PART_COL = "__part"
+# the exchange's sort column: a 32-bit slice of the key hash (a collision
+# only puts two keys in the same kernel call)
+HASH_COL = "__khash"
+# bucket count of the checkpointed runner's manifests
 DEFAULT_NUM_PARTITIONS = 64
-# A partition group is held as ONE Arrow table in one worker; warn when a
-# group's bytes approach a worker-heap-sized fraction so the operator
-# (num_partitions) can be resized BEFORE an OOM at larger scale.
+# A reduce block is held as ONE Arrow table in one worker; warn when a
+# block's bytes approach a worker-heap-sized fraction so the input can be
+# cut into more blocks BEFORE an OOM at larger scale.
 PARTITION_BYTES_WARN = 2 * 1024**3
 
 # Size gates.  At or under its cap a keyed stage runs in one process
@@ -75,9 +81,23 @@ def fits(n: int, cap: int) -> bool:
     return n <= cap
 
 
+def cluster_cpus() -> int:
+    """CPU count of the running Ray cluster, at least 1: the block count
+    for inputs the engine sizes to the cluster."""
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
 def stable_hash(values: np.ndarray) -> np.ndarray:
     """Stable (cross-process) uint64 hash of a key array."""
     return pd.util.hash_array(np.asarray(values), categorize=False)
+
+
+def key_hash(batch: pa.Table, keys: "list[str]") -> np.ndarray:
+    """Stable uint64 hash of each row's key columns, combined in order."""
+    h = np.zeros(batch.num_rows, dtype=np.uint64)
+    for k in keys:
+        h = h * np.uint64(1000003) ^ stable_hash(batch[k].to_numpy(zero_copy_only=False))
+    return h
 
 
 def partition_ids(keys: np.ndarray, num_partitions: int) -> np.ndarray:
@@ -87,10 +107,11 @@ def partition_ids(keys: np.ndarray, num_partitions: int) -> np.ndarray:
 def multi_key_partition_ids(
     batch: pa.Table, keys: "list[str]", num_partitions: int
 ) -> np.ndarray:
-    h = np.zeros(batch.num_rows, dtype=np.uint64)
-    for k in keys:
-        h = h * np.uint64(1000003) ^ stable_hash(batch[k].to_numpy(zero_copy_only=False))
-    return (h % np.uint64(num_partitions)).astype(np.int32)
+    return (key_hash(batch, keys) % np.uint64(num_partitions)).astype(np.int32)
+
+
+def _key_list(key) -> "list[str]":
+    return [key] if isinstance(key, str) else list(key)
 
 
 def add_partition_column(
@@ -98,7 +119,7 @@ def add_partition_column(
     key,
     num_partitions: int = DEFAULT_NUM_PARTITIONS,
 ) -> "ray.data.Dataset":
-    keys = [key] if isinstance(key, str) else list(key)
+    keys = _key_list(key)
 
     def _add(batch: pa.Table) -> pa.Table:
         # strip schema metadata before the exchange: the source parquet
@@ -115,7 +136,6 @@ def map_partitions_by_key(
     ds: "ray.data.Dataset",
     key,
     fn: Callable[[pa.Table], pa.Table],
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
 ) -> "ray.data.Dataset":
     """Apply `fn` to groups of whole keys (`key` is a column name or a
     list of them), each group one Arrow table.
@@ -123,14 +143,14 @@ def map_partitions_by_key(
     The input is materialized first.  When it has rows and its bytes fit
     `LOCAL_BYTES`, `fn` runs ONCE on the whole table (every key in one
     call) in one remote task, so neither the input nor `fn`'s output
-    passes through the driver; otherwise the groups are the partition
-    groups of `exchange_by_key`.  Either way `fn` never sees an empty
+    passes through the driver; otherwise the groups are the reduce
+    blocks of `exchange_by_key`.  Either way `fn` never sees an empty
     table, is not called for an empty input, and must return an Arrow
     table (schema consistent across calls)."""
     mat = ds.materialize()
     if mat.count() and fits(mat.size_bytes(), LOCAL_BYTES):
         return ray.data.from_arrow_refs([_call_whole.remote(fn, *mat.to_arrow_refs())])
-    return exchange_by_key(mat, key, fn, num_partitions)
+    return exchange_by_key(mat, key, fn)
 
 
 @ray.remote
@@ -148,29 +168,43 @@ def exchange_by_key(
     ds: "ray.data.Dataset",
     key,
     fn: Callable[[pa.Table], pa.Table],
-    num_partitions: int = DEFAULT_NUM_PARTITIONS,
 ) -> "ray.data.Dataset":
-    """Shuffle so all rows sharing `key` (a column name or a list of
-    them) are in one group, then apply `fn` to each whole partition group
-    as a single Arrow table.
+    """Sort on the hash of `key` (a column name or a list of them) and
+    apply `fn` to each non-empty sorted block as a single Arrow table.
 
-    `fn` is called once per non-empty partition group — never on an
-    empty table, and not at all for an empty input — and receives it
-    WITHOUT the internal part column.  It must return an Arrow table
-    (schema consistent across partitions).
+    Equal hashes always land in one reduce block, so every key's rows
+    reach one call; the input's block count sets the number of calls.
+    `fn` is never called on an empty table, nor at all for an empty
+    input, and receives the block WITHOUT the internal hash column.  It
+    must return an Arrow table (schema consistent across calls).
     """
+    keys = _key_list(key)
 
-    def _apply(table: pa.Table) -> pa.Table:
+    def _add(batch: pa.Table) -> pa.Table:
+        # strip schema metadata before the exchange: the source parquet
+        # files carry a pandas metadata dict, which is unhashable and
+        # defeats Ray's shuffle schema dedup (one warning per reduce task)
+        h = key_hash(batch, keys).astype(np.uint32)
+        return batch.replace_schema_metadata(None).append_column(HASH_COL, pa.array(h))
+
+    def _apply(table: pa.Table):
+        if not table.num_rows:
+            return
         if table.nbytes > PARTITION_BYTES_WARN:
             logger.warning(
-                "partition group holds %.1f GiB in one worker (key=%s); "
-                "raise num_partitions (now %d) to bound per-group memory",
-                table.nbytes / 1024**3, key, num_partitions,
+                "reduce block holds %.1f GiB in one worker (key=%s); cut the "
+                "input into more blocks to bound per-call memory",
+                table.nbytes / 1024**3, key,
             )
-        return fn(table.drop_columns([PART_COL]))
+        yield fn(table.drop_columns([HASH_COL]))
 
-    with_part = add_partition_column(ds, key, num_partitions)
-    return with_part.groupby(PART_COL).map_groups(_apply, batch_format="pyarrow")
+    # the operator carries the kernel's name, as map_groups' does
+    _apply.__name__ = getattr(fn, "__name__", type(fn).__name__)
+    return (
+        ds.map_batches(_add, batch_format="pyarrow")
+        .sort(HASH_COL)
+        .map_batches(_apply, batch_format="pyarrow", batch_size=None)
+    )
 
 
 def gather(

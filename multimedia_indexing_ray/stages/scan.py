@@ -5,7 +5,7 @@ counter behind one synchronized writer
 (`visual/datastructures/AbstractSearchStructure.java:63-65,229-257`) —
 an anti-scale pattern.  The Ray-native replacement is the classic
 two-phase scan: range-partition by the key, reduce per-partition totals
-to a tiny table, prefix those on the driver (num_partitions values, not
+to a tiny table, prefix those on the driver (num_ranges values, not
 rows), broadcast the offsets, and cumsum within each partition.  No
 global sort, ONE shuffle, exchange rows = input rows of the slim
 (key, value) projection.
@@ -99,9 +99,9 @@ def ordered_prefix_sum(
     offsets = np.concatenate([[0], np.cumsum(offsets[:-1])])
     offsets_ref = ray.put(offsets)
 
-    # phase 2: cumsum within each range, range offset added.  A hash
-    # partition group may hold SEVERAL ranges; ranges are monotonic in the
-    # key, so sorting by key makes each range a contiguous segment.
+    # phase 2: cumsum within each range, range offset added.  One call may
+    # hold SEVERAL ranges; ranges are monotonic in the key, so sorting by
+    # key makes each range a contiguous segment.
     def _scan(table: pa.Table) -> pa.Table:
         k = table[key].to_numpy(zero_copy_only=False).astype(np.int64)
         v = table[value].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -122,4 +122,4 @@ def ordered_prefix_sum(
         out = table.drop_columns(["__rng"]) if "__rng" in table.column_names else table
         return out.append_column(out_col, pa.array(pre, pa.int64()))
 
-    return map_partitions_by_key(slim, "__rng", _scan, num_partitions=num_ranges)
+    return map_partitions_by_key(slim, "__rng", _scan)

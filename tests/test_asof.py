@@ -22,7 +22,6 @@ def _engine_asof(ray_session, turns_table, queries_table, **kw):
         left_key="conv_id",
         left_on="ts",
         tiebreak="turn_idx",
-        num_partitions=5,
         **kw,
     ).to_pandas()
     return out.sort_values(QKEYS, kind="mergesort").reset_index(drop=True)
@@ -111,7 +110,6 @@ def test_asof_cross_schema_keys(ray_session):
             right_key="o_custkey",
             right_on="o_orderdate",
             tiebreak="event_id",
-            num_partitions=3,
         )
         .to_pandas()
         .sort_values("o_custkey")
@@ -151,7 +149,6 @@ def test_asof_forward_direction(ray_session):
             left_on="ts",
             tiebreak="event_id",
             direction="forward",
-            num_partitions=3,
         )
         .to_pandas()
         .sort_values(["user_id", "ts"])
@@ -192,7 +189,6 @@ def test_range_join_inclusive_bounds_and_multimatch(ray_session):
             left_on="ts",
             lower_s=-5.0,
             upper_s=5.0,
-            num_partitions=3,
         )
         .to_pandas()
         .sort_values(["user_id", "matched_event_id"])
@@ -232,7 +228,7 @@ def test_asof_null_keys_dropped(ray_session):
     )
     out = asof_join(
         rd.from_arrow(left), rd.from_arrow(right),
-        left_key="k", left_on="ts", tiebreak=None, num_partitions=2,
+        left_key="k", left_on="ts", tiebreak=None,
     ).to_pandas()
     # null-key right row was dropped; the valid one matched v=10
     assert len(out) == 1
@@ -284,7 +280,7 @@ def test_asof_tolerance_bounds_match(ray_session):
     out = (
         asof_join(
             rd.from_arrow(left), rd.from_arrow(right),
-            left_key="k", left_on="ts", tiebreak=None, num_partitions=2,
+            left_key="k", left_on="ts", tiebreak=None,
             tolerance_s=3600.0,
         )
         .to_pandas()
@@ -295,7 +291,7 @@ def test_asof_tolerance_bounds_match(ray_session):
     # inner semantics drop the out-of-tolerance row entirely
     inner = asof_join(
         rd.from_arrow(left), rd.from_arrow(right),
-        left_key="k", left_on="ts", tiebreak=None, num_partitions=2,
+        left_key="k", left_on="ts", tiebreak=None,
         tolerance_s=3600.0, keep_unmatched=False,
     ).to_pandas()
     assert sorted(inner["matched_v"].tolist()) == [10.0, 20.0]
@@ -303,7 +299,7 @@ def test_asof_tolerance_bounds_match(ray_session):
     fwd = (
         asof_join(
             rd.from_arrow(left), rd.from_arrow(right),
-            left_key="k", left_on="ts", tiebreak=None, num_partitions=2,
+            left_key="k", left_on="ts", tiebreak=None,
             direction="forward", tolerance_s=1800.0,
         )
         .to_pandas()
@@ -352,7 +348,7 @@ def test_asof_nearest_direction(ray_session):
         return (
             asof_join(
                 rd.from_arrow(left), rd.from_arrow(right),
-                left_key="k", left_on="ts", tiebreak=None, num_partitions=2,
+                left_key="k", left_on="ts", tiebreak=None,
                 direction="nearest", **kw,
             )
             .to_pandas()
@@ -375,7 +371,7 @@ def test_asof_nearest_direction(ray_session):
     )
     out = asof_join(
         rd.from_arrow(left), rd.from_arrow(probe),
-        left_key="k", left_on="ts", tiebreak=None, num_partitions=2,
+        left_key="k", left_on="ts", tiebreak=None,
         direction="nearest", allow_exact_matches=False,
     ).to_pandas()
     assert out["matched_v"].tolist() == [10.0]
@@ -415,7 +411,6 @@ def test_asof_lastk_semantics(ray_session):
             value_col="v",
             tiebreak="tb",
             allow_exact_matches=allow_exact,
-            num_partitions=3,
         ).to_pandas()
         return out.sort_values("rid").reset_index(drop=True)
 

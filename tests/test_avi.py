@@ -155,7 +155,7 @@ def test_video_phash_pairs(ray_session):
 
     t = synthetic_dup_avi_table(12, seed=23)
     pairs = media_phash_pairs(
-        rd.from_arrow(t), concurrency=2, num_partitions=4
+        rd.from_arrow(t), concurrency=2
     ).to_pandas()
     got = set(zip(pairs["media_id_a"], pairs["media_id_b"]))
     want = {(f"v-{i:04d}", f"v-{i + 12:04d}") for i in range(12)}

@@ -15,7 +15,7 @@ def test_block_normalize_matches_manual(ray_session, smoke_table):
     )
 
     feat = compute_features(
-        rd.from_arrow(smoke_table), DEFAULT_SPECS, num_partitions=3, pack_vector=True
+        rd.from_arrow(smoke_table), DEFAULT_SPECS, pack_vector=True
     )
     raw = feat.to_pandas().sort_values(["conv_id", "ts", "turn_idx"]).reset_index(drop=True)
     normed = (
@@ -46,7 +46,7 @@ def test_normalizations_off_is_identity(ray_session, smoke_table):
     )
 
     feat = compute_features(
-        rd.from_arrow(smoke_table), DEFAULT_SPECS, num_partitions=3, pack_vector=True
+        rd.from_arrow(smoke_table), DEFAULT_SPECS, pack_vector=True
     )
     raw = np.stack(feat.to_pandas().sort_values(["conv_id", "ts", "turn_idx"])["features"].to_numpy())
     off = np.stack(

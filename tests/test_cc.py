@@ -212,7 +212,7 @@ def test_pagerank_paths_agree_and_reference(ray_session, monkeypatch, seed, n, m
     monkeypatch.setenv(FORCE, "1")
     out_large = {
         r["doc_id"]: (r["pr_micro"], r["degree"])
-        for r in cc.pagerank(ds, num_partitions=4).take_all()
+        for r in cc.pagerank(ds).take_all()
     }
     assert out_small == out_large
 
@@ -258,7 +258,7 @@ def test_triangle_counts_paths_vs_brute_force(ray_session, monkeypatch, seed, n,
     monkeypatch.setenv(FORCE, "1")
     out_large = {
         r["doc_id"]: r["n_triangles"]
-        for r in cc.triangle_counts(ds, num_partitions=4).take_all()
+        for r in cc.triangle_counts(ds).take_all()
     }
     assert out_small == out_large
     es = set(pairs)
@@ -296,18 +296,20 @@ def test_graph_ops_tolerate_duplicate_and_reversed_pairs(ray_session, monkeypatc
 
     base = [(0, 1), (1, 2), (0, 2), (2, 3)]
     noisy = base + [(b, a) for a, b in base] + base  # dupes + reversals
-    clean_ds = _pairs_ds(ray_session, base)
-    noisy_ds = _pairs_ds(ray_session, noisy)
-    for fn, forced, kw in [
-        (cc.pagerank, False, {}),
-        (cc.pagerank, True, {"num_partitions": 4}),
-        (cc.triangle_counts, False, {}),
-        (cc.triangle_counts, True, {"num_partitions": 4}),
+    for fn, forced, blocks in [
+        (cc.pagerank, False, 4),
+        (cc.pagerank, True, 1),
+        (cc.pagerank, True, 4),
+        (cc.triangle_counts, False, 4),
+        (cc.triangle_counts, True, 1),
+        (cc.triangle_counts, True, 4),
     ]:
         monkeypatch.setenv(FORCE, "1" if forced else "0")
-        a = sorted(tuple(sorted(r.items())) for r in fn(clean_ds, **kw).take_all())
-        b = sorted(tuple(sorted(r.items())) for r in fn(noisy_ds, **kw).take_all())
-        assert a == b, (fn.__name__, forced)
+        clean_ds = _pairs_ds(ray_session, base).repartition(blocks)
+        noisy_ds = _pairs_ds(ray_session, noisy).repartition(blocks)
+        a = sorted(tuple(sorted(r.items())) for r in fn(clean_ds).take_all())
+        b = sorted(tuple(sorted(r.items())) for r in fn(noisy_ds).take_all())
+        assert a == b, (fn.__name__, forced, blocks)
 
 
 def test_pack64_rejects_out_of_range_ids(ray_session):
@@ -338,7 +340,7 @@ def test_kcore_distributed_matches_coalesced_and_reference(ray_session, monkeypa
     monkeypatch.setenv(FORCE, "1")
     out_large = {
         r["doc_id"]: r["core_degree"]
-        for r in cc.kcore(ds, rounds=2, num_partitions=4).take_all()
+        for r in cc.kcore(ds, rounds=2).take_all()
     }
     assert out_small == out_large
 
@@ -392,7 +394,7 @@ def test_kcore_distributed_sparse_block_input_completes(ray_session, monkeypatch
     try:
         out = {
             r["doc_id"]: r["core_degree"]
-            for r in cc.kcore(ds, k=2, rounds=1, num_partitions=4).take_all()
+            for r in cc.kcore(ds, k=2, rounds=1).take_all()
         }
     finally:
         signal.alarm(0)
@@ -410,7 +412,7 @@ def test_kcore_pendant_star_unconverged_paths_agree(ray_session, monkeypatch):
     ds = _pairs_ds(ray_session, [(0, 1), (0, 2)])
     out_coalesced = cc.kcore(ds, k=2, rounds=1).take_all()
     monkeypatch.setenv(FORCE, "1")
-    out_distributed = cc.kcore(ds, k=2, rounds=1, num_partitions=2).take_all()
+    out_distributed = cc.kcore(ds, k=2, rounds=1).take_all()
     assert out_coalesced == []
     assert out_distributed == []
 
@@ -427,7 +429,7 @@ def test_distributed_rounds_keep_block_count(ray_session, monkeypatch, fn):
     monkeypatch.setenv(FORCE, "1")
     ds = _pairs_ds(ray_session, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)])
     blocks = [
-        getattr(cc, fn)(ds, rounds=r, num_partitions=4).materialize().num_blocks()
+        getattr(cc, fn)(ds, rounds=r).materialize().num_blocks()
         for r in (1, 2)
     ]
     assert blocks[0] == blocks[1], blocks

@@ -17,7 +17,7 @@ def test_dedup_by_key_first_by_ts(ray_session):
 
     dup = generate_dup_transcripts()
     out = dedup_by_key(
-        rd.from_arrow(dup), ["conv_id", "turn_idx"], ["ts"], num_partitions=5
+        rd.from_arrow(dup), ["conv_id", "turn_idx"], ["ts"]
     ).to_pandas()
     df = dup.to_pandas()
     # expected: pandas groupby first-by-ts
@@ -59,7 +59,7 @@ def test_minhash_finds_planted_near_dups(ray_session):
     from multimedia_indexing_ray.stages.dedup import minhash_lsh_pairs
 
     pairs = minhash_lsh_pairs(
-        rd.from_arrow(_planted_docs()), "text", "doc_id", threshold=0.5, num_partitions=4, concurrency=1
+        rd.from_arrow(_planted_docs()), "text", "doc_id", threshold=0.5, concurrency=1
     ).to_pandas()
     found = set(map(tuple, pairs[["a_id", "b_id"]].to_numpy()))
     assert (0, 100) in found  # near-dup
@@ -73,7 +73,7 @@ def test_simhash_pairs_detect_exact_and_near(ray_session):
     from multimedia_indexing_ray.stages.dedup import simhash_pairs
 
     pairs = simhash_pairs(
-        rd.from_arrow(_planted_docs()), "text", "doc_id", max_hamming=6, num_partitions=4
+        rd.from_arrow(_planted_docs()), "text", "doc_id", max_hamming=6
     ).to_pandas()
     found = set(map(tuple, pairs[["a_id", "b_id"]].to_numpy()))
     assert (1, 101) in found  # exact dup -> hamming 0
@@ -86,7 +86,7 @@ def test_exact_dedup_stats(ray_session):
     from multimedia_indexing_ray.stages.dedup import exact_dedup_stats
 
     out = exact_dedup_stats(
-        rd.from_arrow(_planted_docs()), "text", "doc_id", num_partitions=4
+        rd.from_arrow(_planted_docs()), "text", "doc_id"
     ).to_pandas()
     assert len(out) == 4  # 5 docs, one exact dup collapses
     row = out[out["doc_id"] == 1]
@@ -111,7 +111,7 @@ def test_embedding_neardup_blocked(ray_session):
         }
     )
     pairs = embedding_neardup_pairs(
-        rd.from_arrow(t), "embedding", "vec_id", "label", threshold=0.99, num_partitions=3
+        rd.from_arrow(t), "embedding", "vec_id", "label", threshold=0.99
     ).to_pandas()
     assert (3, 7) in set(map(tuple, pairs[["a_id", "b_id"]].to_numpy()))
 
@@ -143,7 +143,7 @@ def test_embedding_neardup_lsh_finds_planted_pairs(ray_session):
     )
     out = embedding_neardup_lsh(
         rd.from_arrow(t), "embedding", "vec_id", dim,
-        threshold=0.99, n_bands=8, bits_per_band=4, num_partitions=4,
+        threshold=0.99, n_bands=8, bits_per_band=4,
     ).to_pandas()
     got = set(zip(out["a_id"], out["b_id"]))
     planted = {(i, 100 + i) for i in range(10)}
@@ -172,7 +172,7 @@ def test_embedding_neardup_lsh_bucket_cap(ray_session):
     out = embedding_neardup_lsh(
         rd.from_arrow(t), "embedding", "vec_id", dim,
         threshold=0.5, n_bands=2, bits_per_band=2,
-        num_partitions=2, bucket_cap=100,
+        bucket_cap=100,
     ).to_pandas()
     assert len(out) == 0  # all buckets oversize -> dropped, not exploded
 
@@ -202,7 +202,7 @@ def test_minhash_planted_skew_bucket_completes(ray_session):
     )
     out = minhash_lsh_pairs(
         rd.from_arrow(t), "text", "doc_id",
-        threshold=0.5, num_partitions=4, concurrency=2, bucket_cap=512,
+        threshold=0.5, concurrency=2, bucket_cap=512,
     ).to_pandas()
     pair = (n_skew, n_skew + 1)
     got = set(zip(out["a_id"], out["b_id"]))
@@ -246,7 +246,7 @@ def test_exact_jaccard_verify_rejects_and_keeps(ray_session, monkeypatch):
         out = (
             exact_jaccard_verify(
                 rd.from_arrow(cands), rd.from_arrow(docs), "text", "doc_id",
-                threshold=0.3, num_partitions=4,
+                threshold=0.3,
             )
             .to_pandas()
             .sort_values(["a_id", "b_id"])
@@ -284,7 +284,7 @@ def test_anchor_jaccard_mass_duplicate_anchor_skew(ray_session):
     t0 = time.perf_counter()
     out = (
         anchor_jaccard_pairs(
-            rd.from_arrow(docs), "text", "doc_id", threshold=0.6, num_partitions=4
+            rd.from_arrow(docs), "text", "doc_id", threshold=0.6
         )
         .to_pandas()
         .sort_values(["a_id", "b_id"])
@@ -351,7 +351,7 @@ def test_exact_jaccard_verify_vectorized_matches_distributed(ray_session, monkey
         out = (
             exact_jaccard_verify(
                 rd.from_arrow(cands), rd.from_arrow(docs), "text", "doc_id",
-                threshold=0.0, num_partitions=4,
+                threshold=0.0,
             )
             .to_pandas()
             .sort_values(["a_id", "b_id"])
@@ -394,7 +394,7 @@ def test_containment_finds_subset_dup_jaccard_misses(ray_session):
         cont = (
             anchor_containment_pairs(
                 rd.from_arrow(docs), "text", "doc_id",
-                threshold=0.8, num_partitions=4, coalesce=coalesce,
+                threshold=0.8, coalesce=coalesce,
             )
             .to_pandas()
             .sort_values(["a_id", "b_id"])
@@ -404,7 +404,7 @@ def test_containment_finds_subset_dup_jaccard_misses(ray_session):
         row = cont[(cont.a_id == 0) & (cont.b_id == 1)].iloc[0]
         assert row["containment"] == 1.0, coalesce
     jac = anchor_jaccard_pairs(
-        rd.from_arrow(docs), "text", "doc_id", threshold=0.3, num_partitions=4
+        rd.from_arrow(docs), "text", "doc_id", threshold=0.3
     ).to_pandas()
     # symmetric Jaccard is blind to the subset dup (empty result = no
     # pairs at all, which also proves the point)
@@ -412,10 +412,11 @@ def test_containment_finds_subset_dup_jaccard_misses(ray_session):
         assert jac[(jac["a_id"] == 0) & (jac["b_id"] == 1)].empty
 
 
-def test_containment_brute_force_and_partition_invariance(ray_session):
+def test_containment_brute_force_and_partition_invariance(ray_session, monkeypatch):
     """Pairs from `anchor_containment_pairs` must equal the brute-force
     containment over BRUTE-FORCE blocking with the same 2-anchor rule,
-    identically at several partition counts and on both plans."""
+    identically at several input block counts (exchange plan forced)
+    and on both plans."""
     import ray.data as rd
 
     from multimedia_indexing_ray.stages.dedup import anchor_containment_pairs
@@ -456,11 +457,12 @@ def test_containment_brute_force_and_partition_invariance(ray_session):
                 truth.add((i, j))
     assert truth, "fixture must plant at least one pair"
 
+    monkeypatch.setenv("GRAFT_FORCE_SCALE_PLAN", "1")
     for coalesce in (True, False):
         for nparts in (1, 3, 8):
             out = anchor_containment_pairs(
-                rd.from_arrow(docs), "text", "doc_id",
-                threshold=0.8, num_partitions=nparts, coalesce=coalesce,
+                rd.from_arrow(docs).repartition(nparts), "text", "doc_id",
+                threshold=0.8, coalesce=coalesce,
             ).to_pandas()
             got = set(zip(out.a_id.tolist(), out.b_id.tolist()))
             assert got == truth, (coalesce, nparts)

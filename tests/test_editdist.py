@@ -138,7 +138,7 @@ def test_anchor_editdist_mass_duplicate_block(ray_session):
     )
     out = (
         anchor_editdist_pairs(
-            rd.from_arrow(docs), "text", "doc_id", max_dist=16, num_partitions=4
+            rd.from_arrow(docs), "text", "doc_id", max_dist=16
         )
         .to_pandas()
         .sort_values(["a_id", "b_id"])

@@ -19,7 +19,7 @@ def test_features_at_matches_composed_oracle(ray_session, smoke_table):
 
     queries = generate_asof_queries(smoke_table, n_queries=200)
     got = (
-        features_at(rd.from_arrow(smoke_table), rd.from_arrow(queries), num_partitions=6)
+        features_at(rd.from_arrow(smoke_table), rd.from_arrow(queries))
         .to_pandas()
         .sort_values(["conv_id", "ts"], kind="mergesort")
         .reset_index(drop=True)
@@ -57,15 +57,14 @@ def test_fused_equals_unfused(ray_session, smoke_table):
     from multimedia_indexing_ray.pipelines.features import features_at
 
     queries = generate_asof_queries(smoke_table, n_queries=150)
-    kw = dict(num_partitions=5)
     a = (
-        features_at(rd.from_arrow(smoke_table), rd.from_arrow(queries), fused=True, **kw)
+        features_at(rd.from_arrow(smoke_table), rd.from_arrow(queries), fused=True)
         .to_pandas()
         .sort_values(["conv_id", "ts"], kind="mergesort")
         .reset_index(drop=True)
     )
     b = (
-        features_at(rd.from_arrow(smoke_table), rd.from_arrow(queries), fused=False, **kw)
+        features_at(rd.from_arrow(smoke_table), rd.from_arrow(queries), fused=False)
         .to_pandas()
         .sort_values(["conv_id", "ts"], kind="mergesort")
         .reset_index(drop=True)
@@ -90,7 +89,6 @@ def test_features_at_column_projection(ray_session, smoke_table):
     out = features_at(
         rd.from_arrow(smoke_table),
         rd.from_arrow(queries),
-        num_partitions=4,
         columns=["text_len", "sess_1800s_session_idx"],
     ).to_pandas()
     matched = [c for c in out.columns if c.startswith("matched_")]
@@ -104,7 +102,7 @@ def test_features_at_column_projection(ray_session, smoke_table):
 
     # spec pruning must not change values: compare vs the full compute
     full = features_at(
-        rd.from_arrow(smoke_table), rd.from_arrow(queries), num_partitions=4
+        rd.from_arrow(smoke_table), rd.from_arrow(queries)
     ).to_pandas()
     key = ["conv_id", "ts"]
     a = out.sort_values(key, kind="mergesort").reset_index(drop=True)
@@ -133,7 +131,7 @@ def test_fused_null_probes_dropped(ray_session, smoke_table):
         }
     )
     out = features_at(
-        rd.from_arrow(smoke_table), rd.from_arrow(probes), num_partitions=2
+        rd.from_arrow(smoke_table), rd.from_arrow(probes)
     ).to_pandas()
     assert len(out) == 1
     assert out["conv_id"].tolist() == [good]
@@ -178,7 +176,7 @@ def test_fused_split_hot_equals_unfused(ray_session):
             ).cast(pa.timestamp("us")),
         }
     )
-    kw = dict(num_partitions=6, hot_threshold=1000, target_chunk_rows=500)
+    kw = dict(hot_threshold=1000, target_chunk_rows=500)
     # sanity: this fixture really splits
     plan = build_split_plan(
         rd.from_arrow(t), DEFAULT_SPECS, hot_threshold=1000, target_chunk_rows=500
@@ -192,7 +190,7 @@ def test_fused_split_hot_equals_unfused(ray_session):
         .reset_index(drop=True)
     )
     b = (
-        features_at(rd.from_arrow(t), rd.from_arrow(probes), fused=False, num_partitions=6)
+        features_at(rd.from_arrow(t), rd.from_arrow(probes), fused=False)
         .to_pandas()
         .sort_values(["conv_id", "ts"], kind="mergesort")
         .reset_index(drop=True)
@@ -232,15 +230,14 @@ def test_features_at_precomputed_split_plan(ray_session):
         rd.from_arrow(t), DEFAULT_SPECS, hot_threshold=1000, target_chunk_rows=500
     )
     assert not plan.empty
-    kw = dict(num_partitions=4)
     a = (
-        features_at(rd.from_arrow(t), rd.from_arrow(probes), split_plan=plan, **kw)
+        features_at(rd.from_arrow(t), rd.from_arrow(probes), split_plan=plan)
         .to_pandas().sort_values(["conv_id", "ts"], kind="mergesort").reset_index(drop=True)
     )
     b = (
         features_at(
             rd.from_arrow(t), rd.from_arrow(probes), split_hot=True,
-            hot_threshold=1000, target_chunk_rows=500, **kw,
+            hot_threshold=1000, target_chunk_rows=500,
         )
         .to_pandas().sort_values(["conv_id", "ts"], kind="mergesort").reset_index(drop=True)
     )

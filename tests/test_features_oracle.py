@@ -21,7 +21,7 @@ def _engine_features(ray_session, table, **kw):
     from multimedia_indexing_ray.stages.features import compute_features
 
     ds = rd.from_arrow(table).repartition(5)
-    out = compute_features(ds, DEFAULT_SPECS, num_partitions=7, **kw).to_pandas()
+    out = compute_features(ds, DEFAULT_SPECS, **kw).to_pandas()
     return out.sort_values(KEYS, kind="mergesort").reset_index(drop=True)
 
 
@@ -57,15 +57,18 @@ def test_engine_matches_oracle(ray_session, smoke_table, oracle_df):
     _compare(engine, oracle_df, check_text=True)
 
 
-def test_partition_count_invariance(ray_session, smoke_table, oracle_df):
+def test_partition_count_invariance(ray_session, smoke_table, oracle_df, monkeypatch):
+    """The input's block count sets the exchange's kernel calls; the
+    features must not depend on it."""
     import ray.data as rd
 
     from multimedia_indexing_ray.stages.features import compute_features
 
+    monkeypatch.setenv("GRAFT_FORCE_SCALE_PLAN", "1")
     for parts in (1, 3):
-        ds = rd.from_arrow(smoke_table)
+        ds = rd.from_arrow(smoke_table).repartition(parts)
         out = (
-            compute_features(ds, DEFAULT_SPECS, num_partitions=parts)
+            compute_features(ds, DEFAULT_SPECS)
             .to_pandas()
             .sort_values(KEYS, kind="mergesort")
             .reset_index(drop=True)
@@ -121,7 +124,7 @@ def test_custom_spec_registry_matches_oracle(ray_session, smoke_table):
         leads=(LeadSpec("gap_s", 2),),
     )
     got = (
-        compute_features(rd.from_arrow(smoke_table), specs, num_partitions=4)
+        compute_features(rd.from_arrow(smoke_table), specs)
         .to_pandas()
         .sort_values(KEYS, kind="mergesort")
         .reset_index(drop=True)

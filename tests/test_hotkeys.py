@@ -51,7 +51,7 @@ def _features(ray_session, table, **kw):
 
     from multimedia_indexing_ray.stages.features import compute_features
 
-    out = compute_features(rd.from_arrow(table), DEFAULT_SPECS, num_partitions=6, **kw)
+    out = compute_features(rd.from_arrow(table), DEFAULT_SPECS, **kw)
     return out.to_pandas().sort_values(KEYS, kind="mergesort").reset_index(drop=True)
 
 

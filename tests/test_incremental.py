@@ -37,7 +37,7 @@ def test_incremental_matches_batch(ray_session, smoke_table):
 
     clean = _no_dup_ts(smoke_table)
     batch_out = (
-        compute_features(rd.from_arrow(clean), DEFAULT_SPECS, num_partitions=4)
+        compute_features(rd.from_arrow(clean), DEFAULT_SPECS)
         .to_pandas()
         .sort_values(KEYS, kind="mergesort")
         .reset_index(drop=True)
@@ -150,7 +150,7 @@ def test_equal_ts_batch_mode_matches_batch_engine(ray_session, smoke_table):
         .reset_index(drop=True)
     )
     exp = (
-        compute_features(rd.from_arrow(smoke_table), DEFAULT_SPECS, num_partitions=4)
+        compute_features(rd.from_arrow(smoke_table), DEFAULT_SPECS)
         .to_pandas()
         .sort_values(KEYS, kind="mergesort")
         .reset_index(drop=True)

@@ -54,7 +54,6 @@ def test_hash_join_matches_pandas(ray_session, join_type, how):
             rd.from_arrow(pa.Table.from_pandas(right)),
             left_on=["k", "d"],
             join_type=join_type,
-            num_partitions=4,
         )
         .to_pandas()
     )

@@ -188,7 +188,7 @@ def test_phash_pairs_mixed_formats(ray_session):
     media = rd.from_arrow(synthetic_dup_ppm_table(n, seed=7))
     got = {
         (r["media_id_a"], r["media_id_b"])
-        for r in media_phash_pairs(media, concurrency=2, num_partitions=4).take_all()
+        for r in media_phash_pairs(media, concurrency=2).take_all()
     }
     want = {(f"q-{i:04d}", f"q-{i + n:04d}") for i in range(n)}
     assert got == want

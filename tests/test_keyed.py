@@ -3,9 +3,10 @@
 `map_partitions_by_key` promises each call of `fn` one non-empty group
 holding whole keys: under `LOCAL_BYTES` one call with every row (the
 local plan), above it or with ``GRAFT_FORCE_SCALE_PLAN=1`` one call per
-partition group of the sort exchange (the forced plan); both plans give
-the same rows.  `keyed_scan` promises its body a group sorted by
-``(key, *order)`` with the first row of every key's run in `starts`;
+non-empty reduce block of the sort exchange (the forced plan), whose
+count follows the input's block count; both plans give the same rows.
+`keyed_scan` promises its body a group sorted by ``(key, *order)``
+with the first row of every key's run in `starts`;
 `gather` promises one `finish` call over every partial and none on an
 empty table.  The window helpers are checked against per-row brute
 force."""
@@ -36,7 +37,7 @@ def _use_plan(monkeypatch, plan: str) -> None:
         monkeypatch.delenv("GRAFT_FORCE_SCALE_PLAN", raising=False)
 
 
-def _calls(ds, key, num_partitions):
+def _calls(ds, key):
     """Run `map_partitions_by_key` with a recording fn: one output row
     per (call, key) with the call's row count, the key's row count in
     that call and the calling process; an empty call would yield one row
@@ -56,10 +57,11 @@ def _calls(ds, key, num_partitions):
         per_key["pid"] = os.getpid()
         return pa.Table.from_pandas(per_key, preserve_index=False)
 
-    out = map_partitions_by_key(ds, key, fn, num_partitions)
+    out = map_partitions_by_key(ds, key, fn)
     return pd.DataFrame(out.to_pandas())
 
 
+# (case, key, input blocks, id)
 _CASES = [
     ("empty", "k", 8, "empty"),
     ("three_keys", "k", 16, "three_keys_16_partitions"),
@@ -87,7 +89,7 @@ def _case_table(case: str) -> pa.Table:
 
 
 @pytest.mark.parametrize(
-    "case,key,num_partitions,plan",
+    "case,key,blocks,plan",
     [
         pytest.param(case, key, parts, plan, id=_plan_ids(plan, cid))
         for plan in PLANS
@@ -95,7 +97,7 @@ def _case_table(case: str) -> pa.Table:
     ],
 )
 def test_map_partitions_by_key_calls_hold_whole_nonempty_groups(
-    ray_session, monkeypatch, case, key, num_partitions, plan
+    ray_session, monkeypatch, case, key, blocks, plan
 ):
     import ray.data
 
@@ -103,8 +105,8 @@ def test_map_partitions_by_key_calls_hold_whole_nonempty_groups(
     table = _case_table(case)
     n = table.num_rows
     # several input blocks, so every key crosses the exchange
-    ds = ray.data.from_arrow(table).repartition(4)
-    got = _calls(ds, key, num_partitions)
+    ds = ray.data.from_arrow(table).repartition(blocks)
+    got = _calls(ds, key)
     keys = [key] if isinstance(key, str) else key
     if n == 0:
         assert len(got) == 0, "fn was called on an empty input"
@@ -128,11 +130,11 @@ def test_map_partitions_by_key_calls_hold_whole_nonempty_groups(
 
 
 @pytest.mark.parametrize(
-    "case,key,num_partitions",
+    "case,key,blocks",
     [pytest.param(case, key, parts, id=cid) for case, key, parts, cid in _CASES[1:]],
 )
 def test_local_and_forced_plans_give_the_same_rows(
-    ray_session, monkeypatch, case, key, num_partitions
+    ray_session, monkeypatch, case, key, blocks
 ):
     import ray.data
 
@@ -144,11 +146,11 @@ def test_local_and_forced_plans_give_the_same_rows(
         g = pa.TableGroupBy(t, keys).aggregate([("v", "sum"), ("v", "count")])
         return g.sort_by([(k, "ascending") for k in keys])
 
-    ds = ray.data.from_arrow(_case_table(case)).repartition(4)
+    ds = ray.data.from_arrow(_case_table(case)).repartition(blocks)
     out = {}
     for plan in PLANS:
         _use_plan(monkeypatch, plan)
-        got = map_partitions_by_key(ds, key, per_key, num_partitions).to_pandas()
+        got = map_partitions_by_key(ds, key, per_key).to_pandas()
         out[plan] = got.sort_values(list(got.columns)).reset_index(drop=True)
     pd.testing.assert_frame_equal(out["local"], out["forced"])
 
@@ -191,7 +193,7 @@ def test_keyed_scan_sorts_each_group_and_marks_key_starts(
         )
 
     ds = ray.data.from_arrow(table).repartition(3)
-    got = keyed_scan(ds, "k", ["ts", "id"], body, num_partitions=4).to_pandas()
+    got = keyed_scan(ds, "k", ["ts", "id"], body).to_pandas()
     assert len(got) == n
     if plan == "local":
         assert got["call"].nunique() == 1, "the local plan split its input"

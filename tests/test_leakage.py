@@ -19,7 +19,7 @@ def _features_df(ray_session, table):
 
     from multimedia_indexing_ray.stages.features import compute_features
 
-    out = compute_features(rd.from_arrow(table), DEFAULT_SPECS, num_partitions=4).to_pandas()
+    out = compute_features(rd.from_arrow(table), DEFAULT_SPECS).to_pandas()
     return out.sort_values(KEYS, kind="mergesort").reset_index(drop=True)
 
 
@@ -71,7 +71,7 @@ def test_fused_serving_does_not_leak(ray_session, smoke_table):
 
     def run(table):
         out = features_at(
-            rd.from_arrow(table), rd.from_arrow(queries), num_partitions=4
+            rd.from_arrow(table), rd.from_arrow(queries)
         ).to_pandas()
         return out.sort_values(["conv_id", "ts"], kind="mergesort").reset_index(drop=True)
 

@@ -166,12 +166,12 @@ def test_media_phash_pairs_drops_undecodable_and_caps_buckets(ray_session):
     ]
     full = pa.concat_tables([t, pa.Table.from_pylist(extra, schema=MEDIA_SCHEMA)])
 
-    out = media_phash_pairs(rd.from_arrow(full), num_partitions=4).to_pandas()
+    out = media_phash_pairs(rd.from_arrow(full)).to_pandas()
     got = set(map(tuple, out[["media_id_a", "media_id_b"]].to_numpy()))
     want = {(f"q-{i:04d}", f"q-{8 + i:04d}") for i in range(8)}
     want |= {(f"mass-{i}", f"mass-{j}") for i in range(5) for j in range(i + 1, 5)}
     assert got == want  # bad-0 silently dropped, mass bucket fully paired
 
-    capped = media_phash_pairs(rd.from_arrow(full), num_partitions=4, bucket_cap=3).to_pandas()
+    capped = media_phash_pairs(rd.from_arrow(full), bucket_cap=3).to_pandas()
     got_capped = set(map(tuple, capped[["media_id_a", "media_id_b"]].to_numpy()))
     assert got_capped == {(f"q-{i:04d}", f"q-{8 + i:04d}") for i in range(8)}

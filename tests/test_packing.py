@@ -81,9 +81,10 @@ def test_pack_partition_contract():
         pack_partition(t, capacity=128, group_size=BIN_ID_STRIDE + 1)
 
 
-def test_pack_query_partition_invariant(ray_session):
+def test_pack_query_partition_invariant(ray_session, monkeypatch):
     """Bins depend only on (group contents, order), never on the
-    exchange layout: 2 vs 16 partitions give identical packings."""
+    exchange layout: 2 vs 16 input blocks on the exchange plan give
+    identical packings."""
     import pandas as pd
     import ray.data as rd
 
@@ -97,13 +98,13 @@ def test_pack_query_partition_invariant(ray_session):
             "grp": pa.array(np.arange(300, dtype=np.int64) // 32),
         }
     )
+    monkeypatch.setenv("GRAFT_FORCE_SCALE_PLAN", "1")
     outs = []
     for parts in (2, 16):
         out = map_partitions_by_key(
-            rd.from_arrow(t),
+            rd.from_arrow(t).repartition(parts),
             "grp",
             lambda g: pack_partition(g, capacity=128, group_size=32),
-            num_partitions=parts,
         ).to_pandas().sort_values("doc_id").reset_index(drop=True)
         outs.append(out)
     pd.testing.assert_frame_equal(outs[0], outs[1])

@@ -146,7 +146,7 @@ def test_phash_pairs_cross_format(ray_session):
     assert is_png(media.take_all()[0]["payload"]) is False  # base side is PNM
     got = {
         (r["media_id_a"], r["media_id_b"])
-        for r in media_phash_pairs(media, concurrency=2, num_partitions=4).take_all()
+        for r in media_phash_pairs(media, concurrency=2).take_all()
     }
     want = {(f"q-{i:04d}", f"q-{i + n:04d}") for i in range(n)}
     assert got == want

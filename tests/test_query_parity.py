@@ -177,9 +177,10 @@ def test_hll_estimate_tracks_exact_distinct(ray_session, tmp_path):
     assert abs(est - 10000) / 10000 < 0.4  # ~3 sigma for m=64
 
 
-def test_basket_pairs_brute_force_and_partition_invariance(ray_session, tmp_path):
+def test_basket_pairs_brute_force_and_partition_invariance(ray_session, tmp_path, monkeypatch):
     """Association-rule counting vs a brute-force itertools oracle on a
-    random basket fixture, identical at several partition counts."""
+    random basket fixture, identical at several input block counts on
+    the exchange plan."""
     import itertools
     import os
 
@@ -241,14 +242,16 @@ def test_basket_pairs_brute_force_and_partition_invariance(ray_session, tmp_path
     }
     assert got == exp
 
-    # partition invariance: the sentinel side-row counting (per-part
-    # frequencies, order totals) must be exact at ANY partition count
+    # block-layout invariance: the sentinel side-row counting (per-part
+    # frequencies, order totals) must be exact however the exchange
+    # groups keys, so the forced plan runs at several input block counts
     import ray.data as rd
 
     from multimedia_indexing_ray.pipelines.queries import basket_pair_metrics
 
+    monkeypatch.setenv("GRAFT_FORCE_SCALE_PLAN", "1")
     for nparts in (1, 3, 8):
-        df_n = basket_pair_metrics(rd.from_arrow(t), num_partitions=nparts).to_pandas()
+        df_n = basket_pair_metrics(rd.from_arrow(t).repartition(nparts)).to_pandas()
         got_n = {
             (r.p_a, r.p_b): (r.n_both, r.n_a, r.n_b, r.lift, r.confidence)
             for r in df_n.itertuples()

@@ -63,6 +63,71 @@ def test_adjusted_ts_rejects_unsorted():
         sg.adjusted_ts(np.array([10, 5], dtype=np.int64), np.array([0]), 10)
 
 
+def _many_keys_with_long_spans():
+    """30,009 sorted segments of 1-3 rows within an hour, except three
+    that span about six years: one fused axis step per segment sized by
+    the longest span would need 30,009 x 6 years > 2**62 us."""
+    rng = np.random.default_rng(17)
+    n_segs = 30_009
+    six_years = 6 * 365 * 86_400 * 10**6
+    sizes = rng.integers(1, 4, n_segs)
+    hot = [0, 15_004, n_segs - 1]
+    sizes[hot] = 50
+    starts = np.r_[0, np.cumsum(sizes)[:-1]].astype(np.int64)
+    base = rng.integers(0, 10**15, n_segs)
+    parts = []
+    for i, m in enumerate(sizes):
+        span = six_years if i in hot else 3600 * 10**6
+        rel = np.sort(rng.integers(0, span, m))
+        rel[0], rel[-1] = 0, (span if i in hot else rel[-1])
+        parts.append(base[i] + rel)
+    return np.concatenate(parts).astype(np.int64), starts
+
+
+def test_fused_axis_holds_many_keys_with_long_spans():
+    """`adjusted_ts` and `_adjusted_pair` place each key after the
+    previous key's own span, so three long-lived keys among 30,009 fit
+    the int64 axis; window bounds and as-of cursors on it equal a
+    per-segment search."""
+    from multimedia_indexing_ray.stages.asof_join import _adjusted_pair
+
+    ts, starts = _many_keys_with_long_spans()
+    n = len(ts)
+    ends = np.r_[starts[1:], n]
+    width = 3600 * 10**6
+    adj = sg.adjusted_ts(ts, starts, width + 1)
+    lo, hi = sg.sliding_lo(adj, width, "both"), sg.visible_hi(adj)
+    for a, b in zip(starts, ends):
+        seg = ts[a:b]
+        np.testing.assert_array_equal(hi[a:b], a + np.searchsorted(seg, seg, "right"))
+        np.testing.assert_array_equal(lo[a:b], a + np.searchsorted(seg, seg - width, "left"))
+
+    # as-of: left rows are the segments under shuffled key values, right
+    # rows probe every 7th key around its own span
+    rng = np.random.default_rng(5)
+    key_of_seg = rng.permutation(len(starts)) * 3
+    order = np.argsort(key_of_seg, kind="stable")
+    k_l = np.concatenate([np.full(ends[i] - starts[i], key_of_seg[i]) for i in order])
+    t_l = np.concatenate([ts[starts[i]:ends[i]] for i in order])
+    probe = order[::7]
+    k_r = np.repeat(key_of_seg[probe], 2)
+    t_r = np.concatenate([[ts[starts[i]] - 1, ts[ends[i] - 1] - 1] for i in probe])
+    adj_l, adj_r, c_l, c_r = _adjusted_pair(k_l, k_r, t_l, t_r, 0, "asof_join")
+    idx = np.searchsorted(adj_l, adj_r, side="right") - 1
+    ok = (idx >= 0) & (c_l[np.clip(idx, 0, None)] == c_r)
+    for j in range(len(k_r)):
+        rows = np.flatnonzero((k_l == k_r[j]) & (t_l <= t_r[j]))
+        assert ok[j] == bool(len(rows))
+        if len(rows):
+            assert idx[j] == rows[-1]
+
+
+def test_fused_axis_overflow_names_the_sum():
+    span = np.int64(2**60)
+    with pytest.raises(OverflowError, match="sum of"):
+        sg.adjusted_ts(np.array([0, span, 0, span, 0, span, 0, span]), np.array([0, 2, 4, 6]), 1)
+
+
 def test_visible_hi_ties():
     adj = np.array([1, 5, 5, 9], dtype=np.int64)
     np.testing.assert_array_equal(sg.visible_hi(adj), [1, 3, 3, 4])

@@ -15,18 +15,10 @@ def test_token_char_punct_counts():
     np.testing.assert_array_equal(tx.punct_count(arr), [0, 0, 3, 0])
 
 
-def test_token_count_matches_re2_on_adversarial_strings():
-    r"""The byte-level token counter equals RE2's `\S+` match count, as
-    float64 (`turns.n_tokens`, NaN for null) and int64 (`token_count`):
-    RE2's \s is [\t\n\f\r ], so vertical tab, NBSP, em-space and
-    ideographic space are token bytes; sliced and multi-chunk inputs
-    count each string on its own."""
+def _adversarial_strings() -> list:
+    """Strings around RE2's whitespace class (with nulls): vertical tab,
+    NBSP, em-space, ideographic space, NUL and NEL are token bytes."""
     import random
-    import warnings
-
-    import pyarrow.compute as pc
-
-    from multimedia_indexing_ray.functions.turns import n_tokens
 
     fixed = ["", None, "\v", " ", "\u00a0", "\u2003", "\u3000", " lead", "trail ",
              "  both  ", "a\vb", "a\u00a0b", "a\u2003b", "\t\n\f\r", "日本 語 ",
@@ -34,11 +26,26 @@ def test_token_count_matches_re2_on_adversarial_strings():
     rng = random.Random(7)
     alphabet = [" ", "\t", "\n", "\f", "\r", "\v", "\u00a0", "\u2003", "a", "é", "語",
                 "\x00", "\x85"]
-    fixed += [
+    return fixed + [
         None if rng.random() < 0.1
         else "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 10)))
         for _ in range(2000)
     ]
+
+
+def test_token_count_matches_re2_on_adversarial_strings():
+    r"""The byte-level token counter equals RE2's `\S+` match count, as
+    float64 (`turns.n_tokens`, NaN for null) and int64 (`token_count`):
+    RE2's \s is [\t\n\f\r ], so vertical tab, NBSP, em-space and
+    ideographic space are token bytes; sliced and multi-chunk inputs
+    count each string on its own."""
+    import warnings
+
+    import pyarrow.compute as pc
+
+    from multimedia_indexing_ray.functions.turns import n_tokens
+
+    fixed = _adversarial_strings()
     for typ in (pa.string(), pa.large_string()):
         arr = pa.array(fixed, typ)
         cases = [
@@ -97,6 +104,18 @@ def test_simhash_properties():
         np.array([a]), np.array([c])
     )[0]
     assert tx.simhash64([]) == np.uint64(0)
+
+
+def test_simhash64_batch_matches_scalar_reference():
+    """The vectorized SimHash equals the scalar `simhash64(tokenize(s))`
+    per document: both split on RE2's whitespace class, so NBSP,
+    em-space and vertical tab stay inside tokens."""
+    docs = [d if d is not None else "" for d in _adversarial_strings()]
+    docs += ["alpha beta gamma", "  lead trail  ", "a\u00a0b c\vd", "x\u2003y\tz"]
+    assert tx.tokenize("a\u00a0b c\vd") == ["a\u00a0b", "c\vd"]
+    got = tx.simhash64_batch(pa.array(docs)).view(np.uint64)
+    want = np.array([tx.simhash64(tx.tokenize(d)) for d in docs], dtype=np.uint64)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_winnow_fingerprints():

@@ -118,7 +118,6 @@ def test_audio_phash_pairs(ray_session):
         for r in media_phash_pairs(
             rd.from_arrow(synthetic_dup_wav_table(n, seed=19)),
             concurrency=2,
-            num_partitions=4,
         ).take_all()
     }
     assert got == {(f"w-{i:04d}", f"w-{i + n:04d}") for i in range(n)}
